@@ -33,7 +33,8 @@ from .cost_models import (DEFAULT_GENERATION_COST, DEFAULT_TRANSFER_COST,
                           CubicTransfer, SoftCappedQuadratic)
 from .local_solver import (LocalProblem, net_expenditure, solve_local,
                            verify_kkt)
-from .market import (Scenario, StepSchedule, dual_value, run, run_agent)
+from .market import (Scenario, StepSchedule, dual_value, run, run_agent,
+                     solve_all)
 from .oracle import (local_gradient, local_objective, solve_global_numeric,
                      solve_local_numeric)
 from .topology import Topology, in_sellers, out_buyers
@@ -41,12 +42,10 @@ from .transport import TcpTransport
 
 __all__ = ["ExperimentSpec", "ConfigError", "parse_config", "main"]
 
-MODES = ("run", "sweep", "oracle-compare", "validate")
-
 _TOP_LEVEL_KEYS = {
     "M", "topology", "demands", "gen_cost", "gen_costs", "transfer_cost",
-    "step", "tol_gap", "tol_mismatch", "max_iters", "seed", "mode",
-    "sweep_node", "sweep_values", "rounds", "agents", "out_dir",
+    "step", "tol_gap", "tol_mismatch", "max_iters", "rounds", "agents",
+    "out_dir",
 }
 _GEN_COST_KEYS = {"a", "b", "c", "e_max", "cap_scale", "cap_exponent"}
 _TRANSFER_KEYS = {"lin", "cub"}
@@ -60,9 +59,6 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentSpec:
     scenario: Scenario
-    mode: str = "run"
-    sweep_node: int | None = None
-    sweep_values: list | None = None
     out_dir: str = "out"
     rounds: int | None = None
     agents: dict | None = None   # node id -> (host, port)
@@ -244,41 +240,12 @@ def parse_config(text: str) -> ExperimentSpec:
         kwargs[key] = (_as_float(doc[key], f"config.{key}")
                        if key in doc else default)
     max_iters = _as_int(doc.get("max_iters", 20000), "config.max_iters")
-    seed = _as_int(doc.get("seed", 0), "config.seed")
     try:
         scenario = Scenario(topology=top, demands=tuple(demands),
                             gen_costs=gen_costs, transfer_cost=transfer,
-                            step=step, max_iters=max_iters, seed=seed, **kwargs)
+                            step=step, max_iters=max_iters, **kwargs)
     except ValueError as e:
         raise ConfigError(f"config: {e}") from None
-
-    mode = doc.get("mode", "run")
-    if mode not in MODES:
-        raise ConfigError(f"config.mode: unknown mode {mode!r}, expected one of {MODES}")
-
-    sweep_node = None
-    sweep_values = None
-    if "sweep_node" in doc:
-        sweep_node = _as_int(doc["sweep_node"], "config.sweep_node")
-        if not 0 <= sweep_node < m:
-            raise ConfigError(
-                f"config.sweep_node: node {sweep_node} out of range for M={m}")
-    if "sweep_values" in doc:
-        raw = doc["sweep_values"]
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("config.sweep_values: expected a non-empty list")
-        sweep_values = []
-        for i, v in enumerate(raw):
-            value = _as_float(v, f"config.sweep_values[{i}]")
-            if value < 0:
-                raise ConfigError(
-                    f"config.sweep_values[{i}]: must be nonnegative, got {value}")
-            sweep_values.append(value)
-    if mode == "sweep" and sweep_node is None:
-        raise ConfigError("config.sweep_node: required when mode is \"sweep\"")
-    if mode != "sweep" and (sweep_node is not None or sweep_values is not None):
-        raise ConfigError(
-            "config.sweep_node: sweep fields are only valid when mode is \"sweep\"")
 
     rounds = None
     if "rounds" in doc:
@@ -292,9 +259,8 @@ def parse_config(text: str) -> ExperimentSpec:
     if not isinstance(out_dir, str) or not out_dir:
         raise ConfigError(f"config.out_dir: expected a path, got {out_dir!r}")
 
-    return ExperimentSpec(scenario=scenario, mode=mode, sweep_node=sweep_node,
-                          sweep_values=sweep_values, out_dir=out_dir,
-                          rounds=rounds, agents=agents)
+    return ExperimentSpec(scenario=scenario, out_dir=out_dir, rounds=rounds,
+                          agents=agents)
 
 
 def _load_spec(path: str) -> ExperimentSpec:
@@ -312,19 +278,12 @@ def _resolve_out(spec: ExperimentSpec, cli_out) -> Path:
     return path
 
 
-def _solutions_at(prices, scenario: Scenario):
-    """Per-node local problems and optima at a fixed price vector."""
-    pairs = []
-    for i in range(scenario.topology.m):
-        p = LocalProblem(
-            node=i, demand=scenario.demands[i],
-            gen_cost=scenario.gen_costs[i],
-            transfer_cost=scenario.transfer_cost,
-            seller_prices={j: float(prices[j])
-                           for j in sorted(in_sellers(scenario.topology, i))},
-            own_price=float(prices[i]))
-        pairs.append((p, solve_local(p)))
-    return pairs
+def _round_count(args, spec: ExperimentSpec):
+    """--rounds if given, else config.rounds, else None (run to convergence)."""
+    rounds = args.rounds if args.rounds is not None else spec.rounds
+    if rounds is not None and rounds < 1:
+        raise ConfigError(f"--rounds: must be at least 1, got {rounds}")
+    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +293,14 @@ def _solutions_at(prices, scenario: Scenario):
 def _cmd_run(args) -> int:
     spec = _load_spec(args.config)
     out = _resolve_out(spec, args.out)
-    rounds = args.rounds if args.rounds is not None else spec.rounds
+    rounds = _round_count(args, spec)
     if args.transport == "tcp":
         return _run_tcp(spec, args.config, rounds, out)
 
     trace = run(spec.scenario, rounds=rounds)
     (out / "trace.csv").write_text(trace.trace_csv())
     (out / "trades.csv").write_text(trace.trades_csv())
-    rel_gap = trace.gaps[-1] / max(1e-12, abs(trace.primals[-1]))
+    rel_gap, worst = trace.convergence()
     summary = {
         "converged": trace.converged,
         "rounds": trace.rounds(),
@@ -351,7 +310,7 @@ def _cmd_run(args) -> int:
         "best_dual": trace.best_duals[-1],
         "gap": trace.gaps[-1],
         "rel_gap": rel_gap,
-        "max_mismatch": max(abs(x) for x in trace.subgradients[-1]),
+        "max_mismatch": worst,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"converged: {trace.converged} after {trace.rounds()} rounds")
@@ -415,7 +374,7 @@ def _cmd_agent(args) -> int:
     node = args.id
     if not 0 <= node < m:
         raise ConfigError(f"--id: node {node} out of range for M={m}")
-    rounds = args.rounds if args.rounds is not None else spec.rounds
+    rounds = _round_count(args, spec)
     if rounds is None:
         raise ConfigError(
             "config.rounds: agent mode needs a fixed round count "
@@ -452,6 +411,8 @@ def parse_values(text: str):
         except ValueError:
             raise ConfigError(
                 f"--values: range endpoints must be integers, got {text!r}") from None
+        if lo < 0:
+            raise ConfigError(f"--values: demands must be nonnegative, got {text!r}")
         if hi < lo:
             raise ConfigError(f"--values: empty range {text!r}")
         return [float(v) for v in range(lo, hi + 1)]
@@ -467,18 +428,12 @@ def parse_values(text: str):
 def _cmd_sweep(args) -> int:
     spec = _load_spec(args.config)
     out = _resolve_out(spec, args.out)
-    node = args.node if args.node is not None else spec.sweep_node
-    if node is None:
-        raise ConfigError("--node: required (or config.sweep_node)")
+    node = args.node
     m = spec.scenario.topology.m
     if not 0 <= node < m:
         raise ConfigError(f"--node: node {node} out of range for M={m}")
-    if args.values is not None:
-        values = parse_values(args.values)
-    elif spec.sweep_values is not None:
-        values = spec.sweep_values
-    else:
-        values = [float(v) for v in range(1, 12)]
+    values = (parse_values(args.values) if args.values is not None
+              else [float(v) for v in range(1, 12)])
 
     header = ("sweep_demand,node,local_cost,disconnected_cost,e_gen,e_sell,"
               "e_buy_total,lambda_star,case_id,income,converged")
@@ -489,7 +444,7 @@ def _cmd_sweep(args) -> int:
         scenario = dataclasses.replace(spec.scenario, demands=tuple(demands))
         trace = run(scenario)
         lam = trace.final_prices
-        for i, (p, sol) in enumerate(_solutions_at(lam, scenario)):
+        for i, (p, sol) in enumerate(solve_all(lam, scenario)):
             local_cost = net_expenditure(p, sol)
             disconnected = (scenario.gen_costs[i].value(scenario.demands[i])
                             + scenario.transfer_cost.value(0.0))
@@ -665,7 +620,7 @@ def _check_market_duality(rng) -> str | None:
                     f"{lhs} > {rhs}")
     # post-convergence benefit vs standalone operation
     lam_star = trace.final_prices
-    for i, (p, sol) in enumerate(_solutions_at(lam_star, scenario)):
+    for i, (p, sol) in enumerate(solve_all(lam_star, scenario)):
         cost = net_expenditure(p, sol)
         standalone = (scenario.gen_costs[i].value(scenario.demands[i])
                       + scenario.transfer_cost.value(0.0))
@@ -740,7 +695,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("sweep", help="rerun while varying one node's demand")
     p.add_argument("--config", required=True)
-    p.add_argument("--node", type=int, default=None, help="node whose demand varies")
+    p.add_argument("--node", type=int, required=True, help="node whose demand varies")
     p.add_argument("--values", default=None,
                    help="demand values: \"1..11\" or \"2,4.5,7\"")
     p.add_argument("--out", default=None)

@@ -32,8 +32,8 @@ __all__ = [
     "IterationTrace",
     "TradingAgent",
     "MarketState",
-    "init_prices",
-    "subgradient",
+    "local_problem",
+    "solve_all",
     "dual_value",
     "feasibilize_and_cost",
     "new_state",
@@ -74,7 +74,6 @@ class Scenario:
     tol_gap: float = 1e-4        # relative duality gap at convergence
     tol_mismatch: float = 1e-3   # MWh, max supply-demand mismatch
     max_iters: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
         m = self.topology.m
@@ -104,18 +103,19 @@ class IterationTrace:
 
     Row k holds the prices the nodes used during round k together with
     everything computed from them; the price update happens after the row
-    is recorded, so the last row is self-consistent at convergence.
+    is recorded, so the last row is self-consistent at convergence. Bids
+    are kept for the last row only.
     """
 
     m: int
     prices: list = field(default_factory=list)        # tuple of $/MWh
-    bids: list = field(default_factory=list)          # M×M tuples, row = seller
     subgradients: list = field(default_factory=list)  # tuple of MWh
     duals: list = field(default_factory=list)         # $
     best_duals: list = field(default_factory=list)    # $
     primals: list = field(default_factory=list)       # $
     gaps: list = field(default_factory=list)          # $, primal - best dual
     cases: list = field(default_factory=list)         # tuple of case ids
+    final_bids: tuple = ()                            # M×M, row = seller
     converged: bool = False
 
     def rounds(self) -> int:
@@ -126,23 +126,25 @@ class IterationTrace:
         return self.prices[-1]
 
     @property
-    def final_bids(self):
-        return self.bids[-1]
-
-    @property
     def final_cases(self):
         return self.cases[-1]
 
     def append(self, prices, bids, subgrad, dual, primal, cases) -> None:
         best = max(self.best_duals[-1], dual) if self.best_duals else dual
         self.prices.append(tuple(float(x) for x in prices))
-        self.bids.append(tuple(tuple(float(x) for x in row) for row in bids))
+        self.final_bids = tuple(tuple(float(x) for x in row) for row in bids)
         self.subgradients.append(tuple(float(x) for x in subgrad))
         self.duals.append(float(dual))
         self.best_duals.append(float(best))
         self.primals.append(float(primal))
         self.gaps.append(float(primal) - float(best))
         self.cases.append(tuple(int(c) for c in cases))
+
+    def convergence(self) -> tuple:
+        """(relative duality gap, worst absolute mismatch in MWh) of the
+        last row."""
+        rel_gap = self.gaps[-1] / max(1e-12, abs(self.primals[-1]))
+        return rel_gap, max(abs(x) for x in self.subgradients[-1])
 
     def trace_csv(self) -> str:
         """Full history, one row per round."""
@@ -172,20 +174,20 @@ class IterationTrace:
 class TradingAgent:
     """One node's market behavior.
 
-    Holds only what the node itself may know: its own demand and costs, its
-    own price, the prices its potential suppliers posted, and the bids
-    addressed to it. Everything else arrives as messages.
+    Holds only what the node itself may know: its own price, the prices its
+    potential suppliers posted, and the bids addressed to it. Everything
+    else arrives as messages. Its subproblem is built from a price table
+    holding just those prices, so a lookup of any other node's price fails.
     """
 
     def __init__(self, node: int, scenario: Scenario):
         self.node = node
+        self.scenario = scenario
         top = scenario.topology
-        self.demand = scenario.demands[node]
-        self.gen_cost = scenario.gen_costs[node]
-        self.transfer_cost = scenario.transfer_cost
         self.sellers = sorted(in_sellers(top, node))   # nodes this one may buy from
         self.buyers = sorted(out_buyers(top, node))    # nodes that may buy from this one
-        self.price = float(self.gen_cost.marginal(self.demand))
+        # standalone marginal cost at its own demand
+        self.price = float(scenario.gen_costs[node].marginal(scenario.demands[node]))
         self.seller_prices = {}
         self.received_bids = {}
         self.problem = None
@@ -203,10 +205,8 @@ class TradingAgent:
         self.seller_prices = {j: inbox[j].value for j in self.sellers}
 
     def solve(self) -> LocalSolution:
-        self.problem = LocalProblem(
-            node=self.node, demand=self.demand, gen_cost=self.gen_cost,
-            transfer_cost=self.transfer_cost,
-            seller_prices=dict(self.seller_prices), own_price=self.price)
+        self.problem = local_problem(self.scenario, self.node,
+                                     {**self.seller_prices, self.node: self.price})
         self.solution = solve_local(self.problem)
         return self.solution
 
@@ -238,40 +238,38 @@ class TradingAgent:
 
 
 # ---------------------------------------------------------------------------
-# whole-market views (initialization, instrumentation, primal recovery)
+# node subproblems and whole-market views (duality, primal recovery)
 # ---------------------------------------------------------------------------
 
-def init_prices(scenario: Scenario) -> np.ndarray:
-    """Starting prices: each node's standalone marginal cost at its demand."""
-    return np.array([scenario.gen_costs[i].marginal(scenario.demands[i])
-                     for i in range(scenario.topology.m)], dtype=float)
+def local_problem(scenario: Scenario, node: int, prices) -> LocalProblem:
+    """Node `node`'s subproblem at posted prices indexed by node id.
+
+    Only the node's own price and its sellers' prices are read, so a
+    mapping holding just those is enough.
+    """
+    return LocalProblem(
+        node=node, demand=scenario.demands[node],
+        gen_cost=scenario.gen_costs[node],
+        transfer_cost=scenario.transfer_cost,
+        seller_prices={j: float(prices[j])
+                       for j in sorted(in_sellers(scenario.topology, node))},
+        own_price=float(prices[node]))
 
 
-def subgradient(solutions, top: Topology) -> np.ndarray:
-    """Per-node supply-demand mismatch: requested-from-node minus offered."""
-    if len(solutions) != top.m:
-        raise ValueError(f"{len(solutions)} solutions for {top.m} nodes")
-    out = np.zeros(top.m)
-    for i in range(top.m):
-        requested = 0.0
-        for j in sorted(out_buyers(top, i)):
-            requested += solutions[j].e_buy.get(i, 0.0)
-        out[i] = requested - solutions[i].e_sell
+def solve_all(prices, scenario: Scenario) -> list:
+    """[(problem, optimum)] of every node at one price vector."""
+    out = []
+    for i in range(scenario.topology.m):
+        p = local_problem(scenario, i, prices)
+        out.append((p, solve_local(p)))
     return out
 
 
 def dual_value(prices, scenario: Scenario) -> float:
     """Sum of per-node optimal net expenditures at the given prices."""
     total = 0.0
-    for i in range(scenario.topology.m):
-        p = LocalProblem(
-            node=i, demand=scenario.demands[i],
-            gen_cost=scenario.gen_costs[i],
-            transfer_cost=scenario.transfer_cost,
-            seller_prices={j: float(prices[j])
-                           for j in sorted(in_sellers(scenario.topology, i))},
-            own_price=float(prices[i]))
-        total += net_expenditure(p, solve_local(p))
+    for p, s in solve_all(prices, scenario):
+        total += net_expenditure(p, s)
     return total
 
 
@@ -368,8 +366,7 @@ def step(state: MarketState, scenario: Scenario) -> MarketState:
 
 
 def _row_converged(trace: IterationTrace, scenario: Scenario) -> bool:
-    rel_gap = trace.gaps[-1] / max(1e-12, abs(trace.primals[-1]))
-    worst = max(abs(x) for x in trace.subgradients[-1])
+    rel_gap, worst = trace.convergence()
     return rel_gap <= scenario.tol_gap and worst <= scenario.tol_mismatch
 
 

@@ -121,6 +121,31 @@ def exchange_round(transport, node: int, round_no: int, kind: MessageKind,
     return transport.collect(node, round_no, kind, senders)
 
 
+def _accept(msg: Message, node: int, round_no: int, kind: MessageKind,
+            expected: set, got: dict) -> bool:
+    """The round protocol for one frame arriving at `node` while it collects
+    `kind` messages of `round_no` from `expected` into `got`.
+
+    Files the frame and returns True if it belongs to this collect; returns
+    False if it is for a later phase or round (the caller keeps it queued);
+    raises ProtocolError if it is stale, from an unexpected sender, or a
+    duplicate.
+    """
+    if msg.round < round_no:
+        raise ProtocolError(
+            f"stale round-{msg.round} message at node {node} in round {round_no}")
+    if msg.round != round_no or msg.kind != kind:
+        return False
+    if msg.sender not in expected:
+        raise ProtocolError(
+            f"unexpected {kind.name} from node {msg.sender} to {node}")
+    if msg.sender in got:
+        raise ProtocolError(
+            f"duplicate {kind.name} from node {msg.sender} to {node}")
+    got[msg.sender] = msg
+    return True
+
+
 # ---------------------------------------------------------------------------
 # in-process transport
 # ---------------------------------------------------------------------------
@@ -148,22 +173,9 @@ class LoopbackTransport:
                 senders) -> dict:
         expected = set(senders)
         got = {}
-        keep = []
-        for msg in self._mailboxes[node]:
-            if msg.round < round_no:
-                raise ProtocolError(
-                    f"stale round-{msg.round} message at node {node} in round {round_no}")
-            if msg.round == round_no and msg.kind == kind:
-                if msg.sender not in expected:
-                    raise ProtocolError(
-                        f"unexpected {kind.name} from node {msg.sender} to {node}")
-                if msg.sender in got:
-                    raise ProtocolError(
-                        f"duplicate {kind.name} from node {msg.sender} to {node}")
-                got[msg.sender] = msg
-            else:
-                keep.append(msg)   # a later phase or round; leave queued
-        self._mailboxes[node] = keep
+        self._mailboxes[node] = [
+            msg for msg in self._mailboxes[node]
+            if not _accept(msg, node, round_no, kind, expected, got)]
         if set(got) != expected:
             missing = sorted(expected - set(got))
             raise TransportError(
@@ -295,24 +307,8 @@ class TcpTransport:
                 f"endpoint of node {self.node} asked to collect for node {node}")
         expected = set(senders)
         got = {}
-
-        def take(msg) -> bool:
-            if msg.round < round_no:
-                raise ProtocolError(
-                    f"stale round-{msg.round} message in round {round_no}")
-            if msg.round == round_no and msg.kind == kind:
-                if msg.sender not in expected:
-                    raise ProtocolError(
-                        f"unexpected {kind.name} from node {msg.sender}")
-                if msg.sender in got:
-                    raise ProtocolError(
-                        f"duplicate {kind.name} from node {msg.sender}")
-                got[msg.sender] = msg
-                return True
-            return False
-
-        still_pending = [m for m in self._pending if not take(m)]
-        self._pending = still_pending
+        self._pending = [msg for msg in self._pending
+                         if not _accept(msg, node, round_no, kind, expected, got)]
         if set(got) == expected:
             return got
         for peer in sorted(expected - set(got)):
@@ -361,7 +357,7 @@ class TcpTransport:
                         if msg.receiver != self.node:
                             raise ProtocolError(
                                 f"frame addressed to {msg.receiver} arrived at {self.node}")
-                        if not take(msg):
+                        if not _accept(msg, node, round_no, kind, expected, got):
                             self._pending.append(msg)
         return got
 

@@ -1,10 +1,12 @@
 import json
+import re
 import socket
+from pathlib import Path
 
 import pytest
 
-from gridclear.cli_harness import (ConfigError, main, parse_config,
-                                   parse_values)
+from gridclear.cli_harness import (_TOP_LEVEL_KEYS, ConfigError, main,
+                                   parse_config, parse_values)
 from gridclear.cost_models import DEFAULT_GENERATION_COST
 from gridclear.market import run
 from gridclear.topology import build
@@ -39,7 +41,6 @@ def test_minimal_config_fills_defaults():
     assert scn.step.alpha0 == 0.5 and scn.step.kappa == 1000.0
     assert scn.tol_gap == 1e-4 and scn.tol_mismatch == 1e-3
     assert scn.max_iters == 20000
-    assert spec.mode == "run"
     assert spec.out_dir == "out"
     assert spec.rounds is None and spec.agents is None
 
@@ -56,10 +57,6 @@ def test_full_config_document():
         "tol_gap": 1e-5,
         "tol_mismatch": 1e-4,
         "max_iters": 5000,
-        "seed": 3,
-        "mode": "sweep",
-        "sweep_node": 1,
-        "sweep_values": [1, 2, 3],
         "rounds": 100,
         "agents": [{"id": 0, "addr": "127.0.0.1:9001"},
                    {"id": 1, "addr": "localhost:9002"}],
@@ -72,9 +69,7 @@ def test_full_config_document():
     assert scn.gen_costs[1].a == DEFAULT_GENERATION_COST.a   # unset -> default
     assert scn.transfer_cost.lin == 2.0
     assert scn.step.kappa == 500.0
-    assert scn.tol_gap == 1e-5 and scn.max_iters == 5000 and scn.seed == 3
-    assert spec.mode == "sweep"
-    assert spec.sweep_node == 1 and spec.sweep_values == [1.0, 2.0, 3.0]
+    assert scn.tol_gap == 1e-5 and scn.max_iters == 5000
     assert spec.rounds == 100
     assert spec.agents == {0: ("127.0.0.1", 9001), 1: ("localhost", 9002)}
     assert spec.out_dir == "results"
@@ -107,10 +102,11 @@ def test_config_errors_name_the_path():
         ('{"demands": [1], "transfer_cost": {"cub": 0}}', "config.transfer_cost"),
         ('{"demands": [1], "step": {"alpha0": -1}}', "config.step"),
         ('{"demands": [1], "tol_gap": 0}', "tol_gap"),
-        ('{"demands": [1], "mode": "dance"}', "config.mode"),
-        ('{"demands": [1], "mode": "sweep", "sweep_node": 4}', "out of range"),
-        ('{"demands": [1], "mode": "sweep"}', "sweep_node: required"),
-        ('{"demands": [1], "sweep_node": 0}', "only valid"),
+        ('{"demands": [1], "mode": "sweep"}', "config.mode: unknown key"),
+        ('{"demands": [1], "seed": 3}', "config.seed: unknown key"),
+        ('{"demands": [1], "sweep_node": 0}', "config.sweep_node: unknown key"),
+        ('{"demands": [1], "sweep_values": [1]}',
+         "config.sweep_values: unknown key"),
         ('{"demands": [1], "rounds": 0}', "config.rounds"),
         ('{"demands": [1], "agents": {"0": "x"}}', "config.agents"),
         ('{"demands": [1], "agents": [{"id": 0}]}', "id and addr"),
@@ -139,6 +135,14 @@ def test_parse_values():
         parse_values("a,b")
     with pytest.raises(ConfigError):
         parse_values("-1,2")
+    with pytest.raises(ConfigError, match="nonnegative"):
+        parse_values("-2..1")
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    documented = set(re.findall(r"^- `(\w+)`:", readme, flags=re.MULTILINE))
+    assert documented == _TOP_LEVEL_KEYS
 
 
 # -- subcommands --------------------------------------------------------------
@@ -221,6 +225,19 @@ def test_config_problems_exit_2(tmp_path, capsys):
     bad.write_text("{nope")
     assert main(["run", "--config", str(bad)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+    cfg = config_file(tmp_path, {"demands": [7, 7]})
+    for rounds in ("0", "-3"):
+        assert main(["run", "--config", cfg, "--rounds", rounds,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--rounds: must be at least 1" in capsys.readouterr().err
+        assert main(["agent", "--config", cfg, "--id", "0", "--rounds", rounds,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "--rounds: must be at least 1" in capsys.readouterr().err
+
+    with pytest.raises(SystemExit) as exc:   # sweep needs --node
+        main(["sweep", "--config", cfg])
+    assert exc.value.code == 2
 
 
 def test_tcp_run_needs_agents_and_rounds(tmp_path):

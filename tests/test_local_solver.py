@@ -162,6 +162,21 @@ def test_net_expenditure_rejects_imbalance():
         net_expenditure(p, bad)
 
 
+def test_net_expenditure_accepts_solutions_at_extreme_prices():
+    # An unchecked price step once reached ~1e21 $/MWh: the node then trades
+    # ~1e11 MWh, and its energy balance carries rounding of a few ulps of that.
+    for own_price in (8e21, 3e21):
+        p = problem(6.0, own_price, {1: 60.0, 2: 42.0})
+        s = solve_local(p)
+        assert s.case_id == 6 and s.e_sell > 1e10
+        assert math.isfinite(net_expenditure(p, s))
+    # at everyday volumes the balance tolerance is still 1e-6 MWh
+    p = problem(5.0, 50.0, {1: 65.0})
+    off = LocalSolution(0, 1, 5.0 + 2e-6, 0.0, {1: 0.0}, frozenset(), 0.0)
+    with pytest.raises(ValueError, match="balance"):
+        net_expenditure(p, off)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         problem(-1.0, 50.0)

@@ -5,9 +5,9 @@ from gridclear import topology
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
                                    DEFAULT_TRANSFER_COST)
 from gridclear.local_solver import LocalProblem, solve_local
-from gridclear.market import (IterationTrace, Scenario, StepSchedule,
-                              TradingAgent, dual_value, feasibilize_and_cost,
-                              init_prices, run, subgradient)
+from gridclear.market import (Scenario, StepSchedule, TradingAgent,
+                              dual_value, feasibilize_and_cost, local_problem,
+                              run)
 from gridclear.transport import ProtocolError
 
 GEN = DEFAULT_GENERATION_COST
@@ -47,10 +47,9 @@ def test_scenario_validation():
 
 def test_initial_prices_are_standalone_marginal_costs():
     scn = scenario("full", [8.0, 11.0, 6.0])
-    lam = init_prices(scn)
-    assert lam[0] == GEN.marginal(8.0)
-    assert lam[1] == GEN.marginal(11.0)
-    assert lam[2] == GEN.marginal(6.0)
+    expected = (GEN.marginal(8.0), GEN.marginal(11.0), GEN.marginal(6.0))
+    assert tuple(TradingAgent(i, scn).price for i in range(3)) == expected
+    assert run(scn, rounds=1).prices[0] == expected
 
 
 def test_fixed_round_run_records_every_round():
@@ -58,7 +57,7 @@ def test_fixed_round_run_records_every_round():
     trace = run(scn, rounds=5)
     assert trace.rounds() == 5
     assert not trace.converged
-    for hist in (trace.prices, trace.bids, trace.subgradients, trace.duals,
+    for hist in (trace.prices, trace.subgradients, trace.duals,
                  trace.best_duals, trace.primals, trace.gaps, trace.cases):
         assert len(hist) == 5
 
@@ -96,8 +95,21 @@ def test_subgradient_matches_resolved_solutions():
                                         for j in sorted(topology.in_sellers(top, i))},
                          own_price=lam[i])
         solutions.append(solve_local(p))
-    sg = subgradient(solutions, top)
-    assert tuple(sg) == trace.subgradients[0]
+    for i in range(3):
+        requested = 0.0
+        for j in sorted(topology.out_buyers(top, i)):
+            requested += solutions[j].e_buy.get(i, 0.0)
+        assert requested - solutions[i].e_sell == trace.subgradients[0][i]
+
+
+def test_local_problem_reads_only_own_and_seller_prices():
+    scn = scenario("line", [2.0, 6.0, 10.0])
+    # node 0 buys only from node 1: prices of nodes 0 and 1 are all it needs
+    p = local_problem(scn, 0, {0: 55.0, 1: 61.0})
+    assert p.seller_prices == {1: 61.0} and p.own_price == 55.0
+    assert p.demand == 2.0 and p.gen_cost is GEN and p.transfer_cost is TR
+    with pytest.raises(KeyError):
+        local_problem(scn, 1, {0: 55.0, 1: 61.0})   # node 1 also buys from 2
 
 
 def test_symmetric_market_clears_without_trades():

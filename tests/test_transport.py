@@ -225,6 +225,24 @@ def test_tcp_out_of_phase_peer_is_buffered():
     assert results[0] == (5.0, 6.0)
 
 
+def test_tcp_rejects_duplicate_frame():
+    addresses = mesh_addresses(2)
+    neighbors = {0: [1], 1: [0]}
+
+    def fn(node, tr):
+        if node == 1:
+            tr.post([Message(0, 1, 0, MessageKind.PRICE, 5.0),
+                     Message(0, 1, 0, MessageKind.PRICE, 6.0)])
+            return None
+        time.sleep(0.2)         # both frames are waiting in the socket
+        with pytest.raises(ProtocolError, match="duplicate"):
+            tr.collect(0, 0, MessageKind.PRICE, {1})
+        return True
+
+    results = run_mesh(addresses, neighbors, fn)
+    assert results[0] is True
+
+
 def test_tcp_collect_times_out():
     addresses = mesh_addresses(2)
     neighbors = {0: [1], 1: [0]}
