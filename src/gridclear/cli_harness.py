@@ -50,6 +50,7 @@ _TOP_LEVEL_KEYS = {
 _GEN_COST_KEYS = {"a", "b", "c", "e_max", "cap_scale", "cap_exponent"}
 _TRANSFER_KEYS = {"lin", "cub"}
 _STEP_KEYS = {"alpha0", "kappa"}
+_MAX_SELLERS = 3   # sellers per random subproblem in `validate`
 
 
 class ConfigError(ValueError):
@@ -491,8 +492,8 @@ def _cmd_oracle_compare(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _random_problem(rng, max_sellers: int = 3) -> LocalProblem:
-    n = int(rng.integers(0, max_sellers + 1))
+def _random_problem(rng) -> LocalProblem:
+    n = int(rng.integers(0, _MAX_SELLERS + 1))
     sellers = {int(j + 1): float(rng.uniform(40.0, 80.0)) for j in range(n)}
     demand = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 11.0))
     return LocalProblem(node=0, demand=demand,

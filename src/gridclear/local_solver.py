@@ -54,6 +54,9 @@ CASE_EPS = 1e-9
 # Energies below this are treated as inactive when checking multipliers.
 ACTIVE_ATOL = 1e-9
 
+# MWh of negative energy or imbalance a feasible solution may show.
+FEASIBLE_ATOL = 1e-6
+
 
 class CaseClassificationError(RuntimeError):
     """No regime's conditions hold, even with boundary tolerance."""
@@ -330,7 +333,8 @@ def net_expenditure(p: LocalProblem, s: LocalSolution) -> float:
     return total
 
 
-def _check_feasible(p: LocalProblem, s: LocalSolution, atol: float = 1e-6):
+def _check_feasible(p: LocalProblem, s: LocalSolution):
+    atol = FEASIBLE_ATOL
     if s.e_gen < -atol or s.e_sell < -atol or any(v < -atol for v in s.e_buy.values()):
         raise ValueError(f"node {p.node}: negative energies in solution")
     unknown = set(s.e_buy) - set(p.seller_prices)
@@ -338,7 +342,7 @@ def _check_feasible(p: LocalProblem, s: LocalSolution, atol: float = 1e-6):
         raise ValueError(f"node {p.node}: purchases from non-sellers {unknown}")
     residual = s.balance_residual(p.demand)
     # Rounding in the balance grows with the energy moved; allow a few ulps
-    # of it on top of atol (which dominates at normal volumes).
+    # of it on top of FEASIBLE_ATOL (which dominates at normal volumes).
     volume = s.e_gen + s.e_sell + s.total_bought()
     if abs(residual) > atol + 4 * sys.float_info.epsilon * volume:
         raise ValueError(

@@ -278,7 +278,7 @@ def feasibilize_and_cost(bids, scenario: Scenario):
 
     Trades are taken verbatim (row = seller); each node then generates
     whatever its demand plus outgoing trades still require, floored at
-    zero. Returns (trades, total cost in $).
+    zero. Returns the total cost in $.
     """
     top = scenario.topology
     m = top.m
@@ -299,7 +299,7 @@ def feasibilize_and_cost(bids, scenario: Scenario):
         cost += scenario.gen_costs[i].value(g)
     for i, j in top.edges():
         cost += scenario.transfer_cost.value(B[i][j])
-    return B.copy(), float(cost)
+    return float(cost)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def step(state: MarketState, scenario: Scenario) -> MarketState:
     dual = 0.0
     for a in agents:
         dual += net_expenditure(a.problem, a.solution)
-    _, primal = feasibilize_and_cost(bids, scenario)
+    primal = feasibilize_and_cost(bids, scenario)
     state.trace.append(prices, bids, sg, dual, primal,
                        [a.solution.case_id for a in agents])
 
@@ -379,6 +379,8 @@ def run(scenario: Scenario, rounds: int | None = None) -> IterationTrace:
     `rounds` to run a fixed number of rounds instead (the convergence test
     is still evaluated on the last row).
     """
+    if rounds is not None and rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     state = new_state(scenario)
     limit = scenario.max_iters if rounds is None else rounds
     for _ in range(limit):
@@ -386,7 +388,7 @@ def run(scenario: Scenario, rounds: int | None = None) -> IterationTrace:
         if rounds is None and _row_converged(state.trace, scenario):
             state.trace.converged = True
             return state.trace
-    if rounds is not None and state.trace.rounds() > 0:
+    if rounds is not None:
         state.trace.converged = _row_converged(state.trace, scenario)
     return state.trace
 
@@ -404,6 +406,8 @@ def run_agent(scenario: Scenario, node: int, rounds: int, transport) -> dict:
     """
     if not 0 <= node < scenario.topology.m:
         raise ValueError(f"no node {node} in a {scenario.topology.m}-node scenario")
+    if rounds < 1:
+        raise ValueError(f"rounds must be at least 1, got {rounds}")
     agent = TradingAgent(node, scenario)
     history = []
     cases = []

@@ -2,8 +2,8 @@
 
 Two deliberately different algorithm families:
 
-  - solve_global_numeric: projected gradient descent on the full vector of
-    inter-node trades (the coupled cost-minimization over the whole grid).
+  - solve_global_numeric: projected gradient with Barzilai-Borwein steps
+    on all inter-node trades (the coupled cost-minimization over the grid).
   - solve_local_numeric: coarse grid scan plus descent over single and
     paired coordinate directions for one node's subproblem.
 
@@ -34,7 +34,9 @@ GRID_STEP = 0.05          # MWh, coarse scan resolution
 BUY_BOX = 15.0            # MWh upper bound per purchase variable
 SELL_BOX = 64.0           # MWh upper bound for the sale offer
 PG_TOL = 1e-7             # projected-gradient norm at termination
+MAX_ITERS = 2_000_000     # projected-gradient iterations before giving up
 MAX_NODES = 6             # the oracle is a desk-scale instrument
+MAX_SWEEPS = 400          # direction-set sweeps of the local oracle
 
 
 @dataclass
@@ -55,13 +57,18 @@ class LocalNumericResult:
 # global problem
 # ---------------------------------------------------------------------------
 
-def solve_global_numeric(scenario, max_iters: int = 2_000_000) -> GlobalSolution:
+def solve_global_numeric(scenario) -> GlobalSolution:
     """Minimize total generation + transfer cost over all feasible trades.
 
-    Projected gradient descent on the directed-trade matrix with projection
-    onto trades >= 0; steps that would drive any node's generation negative
-    are rejected by the backtracking line search. Terminates when the
-    projected-gradient norm falls below PG_TOL.
+    Projected gradient descent on the directed-trade matrix (trades >= 0)
+    with Barzilai-Borwein steps s.s / s.y, or 1.0 when s.y <= 0, halved
+    while the candidate drives a node's generation negative or raises the
+    cost beyond float noise. Terminates when the projected-gradient norm
+    falls below PG_TOL.
+
+    Needs every node's optimal generation to be positive: the iterate
+    cannot settle on the generation >= 0 face, so halving stops moving it
+    and RuntimeError is raised. The market itself clears such scenarios.
     """
     top = scenario.topology
     m = top.m
@@ -101,49 +108,30 @@ def solve_global_numeric(scenario, max_iters: int = 2_000_000) -> GlobalSolution
         pg = np.where(t > 0.0, gr, np.minimum(gr, 0.0))[mask]
         return float(np.linalg.norm(pg))
 
-    # phase 1: adaptive-step descent with a backtracking line search. The
-    # accept test demands a decrease visibly above float noise, so the
-    # search underflows (rather than spinning) once improvements drop
-    # below the resolution of the cost itself.
     t = np.zeros((m, m))
     f = cost(t)
+    gr = grad(t)
     step = 1.0
-    residual = math.inf
-    for _ in range(max_iters):
-        gr = grad(t)
+    for _ in range(MAX_ITERS):
         residual = pg_norm(t, gr)
         if residual <= PG_TOL:
-            return GlobalSolution(t, generation(t), cost(t))
-        moved = False
-        floor = 1e-12 * (1.0 + abs(f))
-        while step > 1e-18:
+            return GlobalSolution(t, generation(t), f)
+        noise = 1e-12 * (1.0 + abs(f))
+        while True:
             cand = np.maximum(0.0, t - step * gr)
             cand[~mask] = 0.0
-            diff = cand - t
+            if np.array_equal(cand, t):
+                raise RuntimeError(
+                    f"global oracle stalled: projected-gradient norm {residual:.3e}")
             f_cand = cost(cand)
-            if f_cand <= f - max(1e-4 / step * float(np.sum(diff * diff)), floor):
-                t, f = cand, f_cand
-                step = min(step * 1.3, 1e6)
-                moved = True
+            if f_cand <= f + noise:
                 break
             step *= 0.5
-        if not moved:
-            break
-
-    # phase 2: fixed-step polish. Near the optimum, cost comparisons are
-    # blind (differences sit under float eps) but the gradient is not;
-    # a small constant step keeps contracting toward the minimizer.
-    polish = 1e-5
-    for _ in range(max_iters):
-        gr = grad(t)
-        residual = pg_norm(t, gr)
-        if residual <= PG_TOL:
-            return GlobalSolution(t, generation(t), cost(t))
-        cand = np.maximum(0.0, t - polish * gr)
-        cand[~mask] = 0.0
-        if np.array_equal(cand, t):
-            break
-        t = cand
+        gr_cand = grad(cand)
+        s = cand - t
+        sy = float(np.sum(s * (gr_cand - gr)))
+        step = float(np.sum(s * s)) / sy if sy > 0.0 else 1.0
+        t, f, gr = cand, f_cand, gr_cand
     raise RuntimeError(
         f"global oracle did not converge: projected-gradient norm {residual:.3e}"
     )
@@ -190,7 +178,7 @@ def local_gradient(p: LocalProblem, e_sell: float, e_buy):
     return d_sell, d_buys
 
 
-def solve_local_numeric(p: LocalProblem, max_sweeps: int = 400) -> LocalNumericResult:
+def solve_local_numeric(p: LocalProblem) -> LocalNumericResult:
     """Minimize one node's net expenditure without the closed forms.
 
     Descent over the direction set {sell, each purchase, sell+purchase
@@ -280,7 +268,7 @@ def solve_local_numeric(p: LocalProblem, max_sweeps: int = 400) -> LocalNumericR
                 t_hi = mid
         return 0.5 * (t_lo + t_hi)
 
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         largest = 0.0
         for d in directions:
             t = minimize_line(x, d, coarse=(sweep == 0))

@@ -7,8 +7,8 @@ from gridclear.cost_models import (DEFAULT_GENERATION_COST,
 from gridclear.local_solver import LocalProblem, solve_local
 from gridclear.market import (Scenario, StepSchedule, TradingAgent,
                               dual_value, feasibilize_and_cost, local_problem,
-                              run)
-from gridclear.transport import ProtocolError
+                              run, run_agent)
+from gridclear.transport import LoopbackTransport, ProtocolError
 
 GEN = DEFAULT_GENERATION_COST
 TR = DEFAULT_TRANSFER_COST
@@ -60,6 +60,11 @@ def test_fixed_round_run_records_every_round():
     for hist in (trace.prices, trace.subgradients, trace.duals,
                  trace.best_duals, trace.primals, trace.gaps, trace.cases):
         assert len(hist) == 5
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            run(scn, rounds=bad)
+        with pytest.raises(ValueError, match="rounds must be at least 1"):
+            run_agent(scn, 0, bad, LoopbackTransport(2))
 
 
 def test_price_update_rule():
@@ -152,11 +157,11 @@ def test_trades_csv_is_final_bid_matrix():
 
 def test_feasibilize_prices_a_bid_matrix():
     scn = scenario("line", [2.0, 10.0])
-    trades, cost = feasibilize_and_cost([[0.0, 1.0], [0.0, 0.0]], scn)
+    cost = feasibilize_and_cost([[0.0, 1.0], [0.0, 0.0]], scn)
     assert cost == pytest.approx(GEN.value(3.0) + GEN.value(9.0) + TR.value(1.0),
                                  rel=1e-12)
     # oversold node generates the extra; overbought node floors at zero
-    _, cost = feasibilize_and_cost([[0.0, 12.0], [0.0, 0.0]], scn)
+    cost = feasibilize_and_cost([[0.0, 12.0], [0.0, 0.0]], scn)
     assert cost == pytest.approx(GEN.value(14.0) + GEN.value(0.0) + TR.value(12.0),
                                  rel=1e-12)
 

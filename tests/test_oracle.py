@@ -5,7 +5,7 @@ import pytest
 
 from gridclear import topology
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
-                                   DEFAULT_TRANSFER_COST)
+                                   DEFAULT_TRANSFER_COST, SoftCappedQuadratic)
 from gridclear.local_solver import LocalProblem, net_expenditure, solve_local
 from gridclear.market import Scenario
 from gridclear.oracle import (local_gradient, local_objective,
@@ -65,6 +65,28 @@ def test_global_respects_missing_edges():
     g = solve_global_numeric(scenario("line", [2.0, 6.0, 10.0]))
     assert g.trades[0][2] == 0.0
     assert g.trades[2][0] == 0.0
+
+
+def test_stiff_market_keeps_generation_nonnegative():
+    # both nodes sit past the soft cap: the cost is so steep that an
+    # unguarded gradient step overshoots into negative generation
+    g = solve_global_numeric(scenario("line", [12.0, 13.0]))
+    assert np.all(g.generations >= 0.0)
+    assert np.allclose(g.generations,
+                       [12.0, 13.0] + g.trades.sum(axis=1) - g.trades.sum(axis=0),
+                       atol=1e-12)
+    assert g.total_cost < GEN.value(12.0) + GEN.value(13.0)
+    assert (GEN.marginal(g.generations[0]) + TR.marginal(g.trades[0][1])
+            == pytest.approx(GEN.marginal(g.generations[1]), rel=1e-6))
+
+
+def test_global_fails_fast_when_optimal_generation_is_zero():
+    # node 0's generator is dear enough that it should buy all its demand
+    dear = SoftCappedQuadratic(a=86.3852, b=100.0, c=0.3284, e_max=10.0)
+    scn = Scenario(topology=topology.build("full", 2), demands=(1.0, 5.0),
+                   gen_costs=(dear, GEN), transfer_cost=TR)
+    with pytest.raises(RuntimeError):
+        solve_global_numeric(scn)
 
 
 def test_global_size_guard():
