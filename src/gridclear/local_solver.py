@@ -21,10 +21,12 @@ of (sell, buy, generate) are active:
     6  generates, buys and sells
 
 Each regime has a closed-form solution built from the inverse marginal
-costs; regimes 2 and 3 need a scalar root (the premium of the node's
-internal energy value over its own price), found by scanning the
-piecewise-smooth supply curve between seller-activation breakpoints and
-bisecting.
+costs; regimes 2 and 3 need a scalar root for eta, the premium of the
+node's internal energy value over its own price. Regime 2 bisects eta,
+scanning the piecewise-smooth purchase curve between seller-activation
+breakpoints for the bracket. Regime 3 bisects the generation g on
+[0, demand] for g + purchases(C'(g)) = demand, one marginal-cost evaluation
+per step, and reads eta off C'(g).
 """
 
 from __future__ import annotations
@@ -107,7 +109,6 @@ class _Quantities:
         self.p = p
         gen, tr = p.gen_cost, p.transfer_cost
         self.transfer = tr
-        self.gen_at = gen.inverse_marginal      # clamped to 0 below cp0
         self.cp0 = gen.marginal(0.0)            # marginal cost of the first MWh
         self.cp_dem = gen.marginal(p.demand)    # marginal cost at own demand
         self.g0 = tr.marginal(0.0)              # marginal transfer cost at zero
@@ -115,8 +116,9 @@ class _Quantities:
         self.sellers = sorted(p.seller_prices)
         self.prices = p.seller_prices
         self.lam_min = min(p.seller_prices.values()) if p.seller_prices else math.inf
-        # Supply available if the node prices energy internally at lam.
-        self.own_gen = self.gen_at(self.lam)
+        # Supply available if the node prices energy internally at lam
+        # (generation is clamped to 0 below cp0).
+        self.own_gen = gen.inverse_marginal(self.lam)
         self.buy_at_own = self.total_buy_at(self.lam)
         # Purchases if the internal price sat exactly at the first-MWh
         # generation cost (the buy-only / buy-and-generate threshold).
@@ -132,7 +134,8 @@ class _Quantities:
         }
 
     def total_buy_at(self, q: float) -> float:
-        return sum(self.buy_at(q).values())
+        inverse, prices = self.transfer.inverse_marginal, self.prices
+        return sum(inverse(q - prices[j]) for j in self.sellers)
 
 
 def _margins(q: _Quantities):
@@ -166,7 +169,8 @@ def _classify(q: _Quantities):
     for case_id, margin in enumerate(margins, start=1):
         if margin >= -CASE_EPS:
             if case_id in (2, 3):
-                eta, active = _solve_eta(case_id, q)
+                solve = _solve_eta if case_id == 2 else _solve_gen
+                eta, active = solve(q)
                 return case_id, active, eta
             if case_id in (5, 6):
                 active = frozenset(
@@ -192,25 +196,22 @@ def classify(p: LocalProblem):
     return _classify(_Quantities(p))
 
 
-def _solve_eta(case_id: int, q: _Quantities):
+def _solve_eta(q: _Quantities):
+    """Regime 2: the premium at which purchases alone cover demand."""
     e_c = q.p.demand
 
     def shortfall(eta: float) -> float:
-        # Supply minus demand at internal price own_price + eta.
-        total = q.total_buy_at(q.lam + eta)
-        if case_id == 3:
-            total += q.gen_at(q.lam + eta)
-        return total - e_c
+        # Purchases minus demand at internal price own_price + eta.
+        return q.total_buy_at(q.lam + eta) - e_c
 
-    breakpoints = [q.prices[j] - q.lam + q.g0 for j in q.sellers]
-    if case_id == 3:
-        breakpoints.append(q.cp0 - q.lam)
-    breakpoints = sorted(b for b in breakpoints if b > 0.0)
+    breakpoints = sorted(
+        b for b in (q.prices[j] - q.lam + q.g0 for j in q.sellers) if b > 0.0
+    )
 
     lo = 0.0
     if shortfall(0.0) >= 0.0:
-        # Boundary with the sell regimes: supply already meets demand at the
-        # node's own price, so the premium collapses to zero.
+        # Boundary with the sell regimes: purchases already meet demand at
+        # the node's own price, so the premium collapses to zero.
         eta = 0.0
     else:
         hi = None
@@ -220,10 +221,9 @@ def _solve_eta(case_id: int, q: _Quantities):
                 break
             lo = b
         if hi is None:
-            # Past the last breakpoint supply keeps growing without bound
-            # (in regime 2 because there is at least one active seller, in
-            # regime 3 because generation is unbounded), so keep doubling.
-            if case_id == 2 and not q.sellers:
+            # Past the last breakpoint every seller is active and purchases
+            # grow without bound, so keep doubling.
+            if not q.sellers:
                 raise CaseClassificationError(
                     f"node {q.p.node}: no sellers, regime 2 cannot cover "
                     f"demand {e_c}"
@@ -235,8 +235,7 @@ def _solve_eta(case_id: int, q: _Quantities):
                 lo, hi = hi, hi * 2.0
             else:
                 raise CaseClassificationError(
-                    f"node {q.p.node}: generation plus purchases never reach "
-                    f"demand {e_c}"
+                    f"node {q.p.node}: purchases never reach demand {e_c}"
                 )
         # Bisect to float resolution: the balance and stationarity residuals
         # of the returned solution inherit this accuracy.
@@ -250,21 +249,61 @@ def _solve_eta(case_id: int, q: _Quantities):
                 hi = mid
         eta = 0.5 * (lo + hi)
 
-    active = frozenset(j for j in q.sellers if q.lam + eta - q.prices[j] > q.g0)
-    return eta, active
+    return eta, _active_at(q, eta)
+
+
+def _solve_gen(q: _Quantities):
+    """Regime 3: the premium at which generation plus purchases cover demand.
+
+    Generation g and internal price C'(g) move together, so bisect g on
+    [0, demand] for g + purchases(C'(g)) = demand: the left side rises
+    with g, is at most demand at g = 0 (otherwise purchases alone cover
+    demand, which is regime 2's root) and at least demand at g = demand.
+    """
+    e_c = q.p.demand
+    if q.own_gen + q.buy_at_own >= e_c:
+        # Boundary with the sell regimes: supply already meets demand at the
+        # node's own price, so the premium collapses to zero.
+        return 0.0, _active_at(q, 0.0)
+    if q.buy_at_cp0 >= e_c:
+        return _solve_eta(q)
+    marginal = q.p.gen_cost.marginal
+    lo, hi = 0.0, e_c
+    # Bisect to float resolution: the balance and stationarity residuals of
+    # the returned solution inherit this accuracy.
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if mid + q.total_buy_at(marginal(mid)) < e_c:
+            lo = mid
+        else:
+            hi = mid
+    # Supply at own_price falls short of demand, so C'(g) >= own_price up
+    # to rounding.
+    eta = max(0.0, marginal(0.5 * (lo + hi)) - q.lam)
+    return eta, _active_at(q, eta)
+
+
+def _active_at(q: _Quantities, eta: float) -> frozenset:
+    return frozenset(j for j in q.sellers if q.lam + eta - q.prices[j] > q.g0)
 
 
 def solve_eta(case_id: int, p: LocalProblem):
     """Root of the internal-price equation for regimes 2 and 3.
 
     eta is the premium of the node's internal energy value over its own
-    price. Purchases switch on one by one as eta passes each seller's
-    activation breakpoint, so the supply curve is piecewise smooth and
-    nondecreasing: scan the breakpoints for a sign change, then bisect.
+    price; returns (eta, active sellers). Regime 2 bisects eta: purchases
+    switch on one by one as eta passes each seller's activation
+    breakpoint, so scan the breakpoints for a sign change, then bisect.
+    Regime 3 bisects the generation g on [0, demand] for
+    g + purchases(C'(g)) = demand and returns max(0, C'(g) - own_price).
     """
-    if case_id not in (2, 3):
-        raise ValueError(f"eta is only defined for regimes 2 and 3, got {case_id}")
-    return _solve_eta(case_id, _Quantities(p))
+    if case_id == 2:
+        return _solve_eta(_Quantities(p))
+    if case_id == 3:
+        return _solve_gen(_Quantities(p))
+    raise ValueError(f"eta is only defined for regimes 2 and 3, got {case_id}")
 
 
 def _buy_with_exact_total(q: _Quantities, internal_price: float, total: float):

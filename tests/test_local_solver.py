@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
-                                   DEFAULT_TRANSFER_COST)
+                                   DEFAULT_TRANSFER_COST, SoftCappedQuadratic)
 from gridclear.local_solver import (LocalProblem, LocalSolution, classify,
                                     net_expenditure, solve_eta, solve_local,
                                     verify_kkt)
@@ -54,6 +54,93 @@ def test_case3_generates_and_buys():
     q = p.own_price + s.eta
     assert GEN.marginal(s.e_gen) == pytest.approx(q, abs=1e-6)
     assert TR.marginal(s.e_buy[1]) + 30.0 == pytest.approx(q, abs=1e-6)
+
+
+def reference_eta(p):
+    """Regime-3 premium by bisecting eta, from the inverse marginals alone."""
+    def supply(eta):
+        y = p.own_price + eta
+        return GEN.inverse_marginal(y) + sum(
+            TR.inverse_marginal(y - lam) for lam in p.seller_prices.values())
+
+    if supply(0.0) >= p.demand:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while supply(hi) < p.demand:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if supply(mid) < p.demand:
+            lo = mid
+        else:
+            hi = mid
+
+
+def regime3_edges():
+    # premium collapses to zero: supply at the node's own price meets demand
+    for lam, sellers in [(60.0, {1: 50.0}), (58.0, {1: 45.0, 2: 56.5}),
+                         (65.0, {1: 40.0, 2: 55.0, 3: 62.0})]:
+        supply = GEN.inverse_marginal(lam) + sum(
+            TR.inverse_marginal(lam - v) for v in sellers.values())
+        for offset in (0.0, 1e-12, 1e-10, 1e-6):
+            yield problem(supply + offset, lam, sellers)
+    # generation vanishes: purchases at the first-MWh cost nearly meet
+    # demand (closer than CASE_EPS the buy-only regime 2 wins the tie)
+    cp0 = GEN.marginal(0.0)
+    for lam, sellers in [(40.0, {1: 30.0}), (45.0, {1: 35.0, 2: 50.0}),
+                         (30.0, {1: 20.0, 2: 25.0})]:
+        bought = sum(TR.inverse_marginal(cp0 - v) for v in sellers.values())
+        for offset in (2e-9, 1e-8, 1e-6):
+            yield problem(bought + offset, lam, sellers)
+
+
+def random_regime3_problems(count, seed=8):
+    rng = np.random.default_rng(seed)
+    found = 0
+    while found < count:
+        n = int(rng.integers(1, 5))
+        sellers = {j + 1: float(rng.uniform(20.0, 75.0)) for j in range(n)}
+        p = problem(float(rng.uniform(0.0, 13.0)),
+                    float(rng.uniform(20.0, 80.0)), sellers)
+        if classify(p)[0] == 3:
+            found += 1
+            yield p
+
+
+def test_regime3_generation_space_root_matches_eta_bisection():
+    problems = list(regime3_edges()) + list(random_regime3_problems(2000))
+    zero_eta = zero_gen = 0
+    for p in problems:
+        s = solve_local(p)
+        assert s.case_id == 3, p
+        q = p.own_price + s.eta
+        assert GEN.marginal(s.e_gen) == pytest.approx(q, rel=1e-9), p
+        assert abs(s.balance_residual(p.demand)) <= 1e-9, p
+        eta, active = solve_eta(3, p)
+        assert (eta, active) == (s.eta, s.active_sellers)
+        assert abs(eta - reference_eta(p)) <= 1e-9, p
+        zero_eta += s.eta == 0.0
+        zero_gen += s.e_gen <= 1e-8
+    # on the boundary itself the premium is exactly zero
+    assert zero_eta >= 3 and zero_gen >= 6
+
+
+def test_regime3_solve_has_no_nested_generation_inverse(monkeypatch):
+    # Regime 3 bisects generation directly; the only generation inverse is
+    # the supply at the node's own price used to classify the regime.
+    calls = []
+    inverse = SoftCappedQuadratic.inverse_marginal
+
+    def counting(self, y):
+        calls.append(y)
+        return inverse(self, y)
+
+    monkeypatch.setattr(SoftCappedQuadratic, "inverse_marginal", counting)
+    s = solve_local(problem(5.0, 40.0, {1: 30.0, 2: 45.0}))
+    assert s.case_id == 3 and s.e_gen > 0.1 and s.eta > 0.0
+    assert len(calls) <= 1
 
 
 def test_case4_generates_surplus_to_sell():
@@ -145,6 +232,11 @@ def test_solve_eta_only_for_buy_regimes():
     eta, active = solve_eta(2, p)
     assert eta == pytest.approx(3.0, abs=1e-9)
     assert active == frozenset({1})
+    # purchases alone cover demand below the first-MWh generation cost, so
+    # the generate-and-buy root is the buy-only one
+    eta3, active3 = solve_eta(3, p)
+    assert eta3 == pytest.approx(eta, abs=1e-12)
+    assert active3 == active
 
 
 def test_net_expenditure_manual():
