@@ -93,8 +93,9 @@ class Scenario:
         if not (math.isfinite(self.tol_mismatch) and self.tol_mismatch > 0):
             raise ValueError(
                 f"tol_mismatch must be positive, got {self.tol_mismatch}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not isinstance(self.max_iters, int) or self.max_iters < 1:
+            raise ValueError(
+                f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass
@@ -285,6 +286,10 @@ def feasibilize_and_cost(bids, scenario: Scenario):
     B = np.asarray(bids, dtype=float)
     if B.shape != (m, m):
         raise ValueError(f"bid matrix shape {B.shape}, expected {(m, m)}")
+    finite = np.isfinite(B)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"non-finite bid {B[i][j]} at [{i}][{j}]")
     for i in range(m):
         for j in range(m):
             if B[i][j] < 0.0:

@@ -95,6 +95,8 @@ def test_config_errors_name_the_path():
         ('{"demands": [1, 2], "topology": [[1, 1], [1, 0]]}',
          "cannot trade with itself"),
         ('{"demands": [1, 2], "topology": [[0, 2], [1, 0]]}', "0 or 1"),
+        ('{"demands": [1, 2], "topology": {"adjacency": [[0, 1], [1, 0]], '
+         '"kind": "ring"}}', "config.topology.kind: unknown key"),
         ('{"demands": [1], "gen_cost": {}, "gen_costs": [{}]}', "not both"),
         ('{"demands": [1, 2], "gen_costs": [{}]}', "2 entries"),
         ('{"demands": [1], "gen_cost": {"volts": 3}}', "config.gen_cost.volts"),
@@ -193,14 +195,6 @@ def test_oracle_compare_within_tolerance(tmp_path):
     assert fields["converged"] == "true"
 
 
-def test_validate_property_suite_passes(tmp_path):
-    out = tmp_path / "out"
-    assert main(["validate", "--seed", "0", "--out", str(out)]) == 0
-    report = json.loads((out / "validate.json").read_text())
-    assert report["all_passed"] is True
-    assert len(report["properties"]) >= 6
-
-
 def test_out_dir_precedence(tmp_path, monkeypatch):
     cfg = config_file(tmp_path, {"demands": [7, 7],
                                  "out_dir": str(tmp_path / "from_config")})
@@ -235,9 +229,11 @@ def test_config_problems_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "o")]) == 2
         assert "--rounds: must be at least 1" in capsys.readouterr().err
 
-    with pytest.raises(SystemExit) as exc:   # sweep needs --node
-        main(["sweep", "--config", cfg])
-    assert exc.value.code == 2
+    for argv in (["sweep", "--config", cfg],   # sweep needs --node
+                 ["validate"]):                # no such subcommand
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_tcp_run_needs_agents_and_rounds(tmp_path):

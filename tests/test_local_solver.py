@@ -56,11 +56,12 @@ def test_case3_generates_and_buys():
     assert TR.marginal(s.e_buy[1]) + 30.0 == pytest.approx(q, abs=1e-6)
 
 
-def reference_eta(p):
-    """Regime-3 premium by bisecting eta, from the inverse marginals alone."""
+def reference_eta(p, generates=True):
+    """Premium of regime 3 (or of regime 2, which does not generate) by
+    bisecting eta, from the inverse marginals alone."""
     def supply(eta):
         y = p.own_price + eta
-        return GEN.inverse_marginal(y) + sum(
+        return (GEN.inverse_marginal(y) if generates else 0.0) + sum(
             TR.inverse_marginal(y - lam) for lam in p.seller_prices.values())
 
     if supply(0.0) >= p.demand:
@@ -96,7 +97,22 @@ def regime3_edges():
             yield problem(bought + offset, lam, sellers)
 
 
-def random_regime3_problems(count, seed=8):
+def regime2_edges():
+    cp0 = GEN.marginal(0.0)
+    for lam, sellers in [(40.0, {1: 30.0}), (45.0, {1: 35.0, 2: 50.0}),
+                         (30.0, {1: 20.0, 2: 25.0, 3: 28.0})]:
+        # premium collapses to zero: purchases at the node's own price
+        # meet demand
+        at_own = sum(TR.inverse_marginal(lam - v) for v in sellers.values())
+        # generation about to start: purchases at the first-MWh generation
+        # cost meet demand
+        at_cp0 = sum(TR.inverse_marginal(cp0 - v) for v in sellers.values())
+        for offset in (0.0, 1e-12, 1e-10, 1e-6):
+            yield problem(at_own + offset, lam, sellers)
+            yield problem(at_cp0 - offset, lam, sellers)
+
+
+def random_regime_problems(regime, count, seed=8):
     rng = np.random.default_rng(seed)
     found = 0
     while found < count:
@@ -104,13 +120,32 @@ def random_regime3_problems(count, seed=8):
         sellers = {j + 1: float(rng.uniform(20.0, 75.0)) for j in range(n)}
         p = problem(float(rng.uniform(0.0, 13.0)),
                     float(rng.uniform(20.0, 80.0)), sellers)
-        if classify(p)[0] == 3:
+        if classify(p)[0] == regime:
             found += 1
             yield p
 
 
+def test_regime2_root_matches_eta_bisection():
+    problems = list(regime2_edges()) + list(random_regime_problems(2, 500))
+    zero_eta = 0
+    for p in problems:
+        s = solve_local(p)
+        assert s.case_id == 2, p
+        assert abs(s.balance_residual(p.demand)) <= 1e-9, p
+        q = p.own_price + s.eta
+        for j in s.active_sellers:
+            delivered = TR.marginal(s.e_buy[j]) + p.seller_prices[j]
+            assert delivered == pytest.approx(q, rel=1e-9), p
+        eta, active = solve_eta(2, p)
+        assert (eta, active) == (s.eta, s.active_sellers)
+        assert abs(eta - reference_eta(p, generates=False)) <= 1e-9, p
+        zero_eta += s.eta == 0.0
+    # on the boundary with the resale regime the premium is exactly zero
+    assert zero_eta >= 3
+
+
 def test_regime3_generation_space_root_matches_eta_bisection():
-    problems = list(regime3_edges()) + list(random_regime3_problems(2000))
+    problems = list(regime3_edges()) + list(random_regime_problems(3, 2000))
     zero_eta = zero_gen = 0
     for p in problems:
         s = solve_local(p)
@@ -270,8 +305,9 @@ def test_net_expenditure_accepts_solutions_at_extreme_prices():
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        problem(-1.0, 50.0)
+    for demand in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="demand"):
+            problem(demand, 50.0)
     with pytest.raises(ValueError):
         problem(1.0, float("nan"))
     with pytest.raises(ValueError):
@@ -280,7 +316,7 @@ def test_problem_validation():
 
 def test_random_instances_satisfy_kkt():
     rng = np.random.default_rng(3)
-    for _ in range(500):
+    for _ in range(2000):
         n = int(rng.integers(0, 4))
         sellers = {j + 1: float(rng.uniform(40.0, 80.0)) for j in range(n)}
         demand = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 11.0))

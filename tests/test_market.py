@@ -43,6 +43,8 @@ def test_scenario_validation():
         scenario("full", [1.0, 2.0], tol_gap=0.0)
     with pytest.raises(ValueError):
         scenario("full", [1.0, 2.0], max_iters=0)
+    with pytest.raises(ValueError, match="max_iters"):
+        scenario("full", [1.0, 2.0], max_iters=2.5)
 
 
 def test_initial_prices_are_standalone_marginal_costs():
@@ -175,6 +177,9 @@ def test_feasibilize_rejects_bad_bids():
     scn3 = scenario("line", [2.0, 6.0, 10.0])
     with pytest.raises(ValueError, match="missing edge"):
         feasibilize_and_cost([[0.0, 0.0, 1.0]] + [[0.0] * 3] * 2, scn3)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="non-finite bid"):
+            feasibilize_and_cost([[0.0, bad], [0.0, 0.0]], scn)
 
 
 def test_dual_never_exceeds_optimal_cost():
@@ -184,6 +189,21 @@ def test_dual_never_exceeds_optimal_cost():
     for _ in range(5):
         lam = rng.uniform(40.0, 90.0, size=2)
         assert dual_value(lam, scn) <= 883.8153485134 + 1e-6
+
+
+def test_dual_lies_below_every_subgradient_plane():
+    # The dual is concave, so each round's subgradient bounds it from above
+    # everywhere: D(lam) <= D(lam_k) + g_k . (lam - lam_k).
+    scn = scenario("full", [8.0, 11.0, 11.0, 6.0])
+    trace = run(scn)
+    assert trace.converged
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        k = int(rng.integers(0, trace.rounds()))
+        lam = rng.uniform(40.0, 90.0, size=4)
+        plane = trace.duals[k] + float(np.dot(trace.subgradients[k],
+                                              lam - np.array(trace.prices[k])))
+        assert dual_value(lam, scn) <= plane + 1e-6, f"round {k}, lam {lam}"
 
 
 def test_agent_rejects_wrong_sender_set():

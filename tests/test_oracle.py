@@ -113,21 +113,21 @@ def test_local_objective_infeasible_is_infinite():
 def test_local_gradient_matches_finite_difference():
     rng = np.random.default_rng(11)
     h = 1e-6
-    checked = 0
-    while checked < 50:
+    inputs = [(local(5.0, 60.0), 1.0, np.zeros(0))]   # no sellers: sale only
+    while len(inputs) < 51:
         p = local(float(rng.uniform(1.0, 8.0)), float(rng.uniform(40.0, 80.0)),
                   {1: float(rng.uniform(40.0, 80.0)),
                    2: float(rng.uniform(40.0, 80.0))})
         sell = float(rng.uniform(0.1, 2.0))
         buys = rng.uniform(0.1, 1.5, size=2)
-        if p.demand + sell - float(buys.sum()) <= 0.2:
-            continue
-        checked += 1
+        if p.demand + sell - float(buys.sum()) > 0.2:
+            inputs.append((p, sell, buys))
+    for p, sell, buys in inputs:
         ds, db = local_gradient(p, sell, buys)
         fd = (local_objective(p, sell + h, buys)
               - local_objective(p, sell - h, buys)) / (2 * h)
         assert ds == pytest.approx(fd, abs=1e-4)
-        for k in range(2):
+        for k in range(len(buys)):
             up, down = buys.copy(), buys.copy()
             up[k] += h
             down[k] -= h
