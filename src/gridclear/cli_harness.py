@@ -44,7 +44,7 @@ _TOP_LEVEL_KEYS = {
 }
 _GEN_COST_KEYS = {"a", "b", "c", "e_max", "cap_scale", "cap_exponent"}
 _TRANSFER_KEYS = {"lin", "cub"}
-_STEP_KEYS = {"alpha0", "kappa"}
+_STEP_KEYS = {"alpha0"}
 
 
 class ConfigError(ValueError):
@@ -223,9 +223,7 @@ def parse_config(text: str) -> ExperimentSpec:
         try:
             step = StepSchedule(
                 alpha0=_as_float(obj.get("alpha0", StepSchedule.alpha0),
-                                 "config.step.alpha0"),
-                kappa=_as_float(obj.get("kappa", StepSchedule.kappa),
-                                "config.step.kappa"))
+                                 "config.step.alpha0"))
         except ValueError as e:
             raise ConfigError(f"config.step: {e}") from None
     else:

@@ -14,6 +14,7 @@ marginal(0). value() and marginal() accept floats or numpy arrays.
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -23,6 +24,7 @@ __all__ = [
     "CostModel",
     "SoftCappedQuadratic",
     "CubicTransfer",
+    "bracketed_root",
     "DEFAULT_GENERATION_COST",
     "DEFAULT_TRANSFER_COST",
 ]
@@ -52,33 +54,81 @@ class CostModel(ABC):
 
         For y <= marginal(0) returns 0 (the marginal never drops below its
         value at zero, so the clamp makes boundary behavior continuous).
-        Implemented by bracketed bisection: the upper bound doubles until it
-        encloses y, then the interval is halved to 1e-12 or 60 iterations.
+        The upper bound doubles from 1 until it encloses y; then
+        `bracketed_root` narrows the bracket to 1e-12 MWh on log marginal,
+        which a steep soft cap leaves far closer to linear than the
+        marginal itself.
         """
         if not math.isfinite(y):
             raise ValueError(f"inverse_marginal needs a finite price, got {y}")
-        if y <= self.marginal(0.0):
+        m_lo = self.marginal(0.0)
+        if y <= m_lo:
             return 0.0
         lo, hi = 0.0, 1.0
         for _ in range(200):
             try:
                 m_hi = self.marginal(hi)
             except OverflowError:
-                break  # marginal already astronomically above any finite y
+                m_hi = math.inf  # astronomically above any finite y
             if m_hi >= y:
                 break
-            lo, hi = hi, hi * 2.0
+            lo, hi, m_lo = hi, hi * 2.0, m_hi
         else:
             raise ValueError(f"could not bracket marginal value {y}")
-        for _ in range(60):
-            if hi - lo <= 1e-12:
-                break
-            mid = 0.5 * (lo + hi)
-            if self.marginal(mid) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        log_y = math.log(y)
+        return bracketed_root(lambda x: _log(self.marginal(x)), log_y, lo, hi,
+                              _log(m_lo) - log_y, _log(m_hi) - log_y,
+                              xtol=1e-12)
+
+
+def _log(m: float) -> float:
+    return math.log(m) if m > 0.0 else -math.inf
+
+
+# How far inside the bracket `bracketed_root` keeps its point, relative to
+# the bracket's magnitude: four ulps.
+_ULPS = 4.0 * sys.float_info.epsilon
+
+
+def bracketed_root(f, target: float, lo: float, hi: float,
+                   r_lo: float, r_hi: float, xtol: float = 0.0) -> float:
+    """The point in [lo, hi] where increasing f crosses target.
+
+    r_lo = f(lo) - target < 0 <= r_hi = f(hi) - target. Each step takes
+    the Illinois point: regula falsi, with the residual of an endpoint
+    kept twice in a row halved. The point stays a few ulps inside the
+    bracket, so a root found to rounding from one side closes the bracket
+    on the next step instead of leaving the far end to bisection. Where a
+    residual is infinite, or the bracket is a few ulps wide, the step
+    bisects. Stops at an exact root, or when the bracket is at most xtol
+    wide or down to two adjacent floats, and returns its midpoint: the
+    same bracket and accuracy as plain bisection.
+    """
+    kept = 0    # -1 after lo moved, +1 after hi moved
+    for _ in range(400):
+        width = hi - lo
+        mid = 0.5 * (lo + hi)
+        if width <= xtol or mid <= lo or mid >= hi:
+            break
+        inset = _ULPS * max(abs(lo), abs(hi))
+        spread = r_hi - r_lo
+        if width <= 2.0 * inset or math.isinf(spread):
+            x = mid
+        else:
+            x = lo - r_lo * (width / spread)
+            x = min(max(x, lo + inset), hi - inset)
+        r = f(x) - target
+        if r < 0.0:
+            if kept < 0:
+                r_hi *= 0.5
+            lo, r_lo, kept = x, r, -1
+        elif r > 0.0:
+            if kept > 0:
+                r_lo *= 0.5
+            hi, r_hi, kept = x, r, 1
+        else:
+            return x
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

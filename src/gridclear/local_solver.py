@@ -22,11 +22,12 @@ of (sell, buy, generate) are active:
 
 Each regime has a closed-form solution built from the inverse marginal
 costs; regimes 2 and 3 need a scalar root for eta, the premium of the
-node's internal energy value over its own price. Both roots are bisections
-on fixed brackets. Regime 2 bisects eta on [0, lam_min + gamma'(demand) -
-own_price], where lam_min is the cheapest seller's price. Regime 3 bisects
-the generation g on [0, demand] for g + purchases(C'(g)) = demand, one
-marginal-cost evaluation per step, and reads eta off C'(g).
+node's internal energy value over its own price. Both roots are found on
+fixed brackets by `bracketed_root` (safeguarded regula falsi). Regime 2
+solves for eta on [0, lam_min + gamma'(demand) - own_price], where lam_min
+is the cheapest seller's price. Regime 3 solves for the generation g on
+[0, demand] in g + purchases(C'(g)) = demand, one marginal-cost evaluation
+per step, and reads eta off C'(g).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .cost_models import CostModel
+from .cost_models import CostModel, bracketed_root
 
 __all__ = [
     "LocalProblem",
@@ -137,6 +138,14 @@ class _Quantities:
         inverse, prices = self.transfer.inverse_marginal, self.prices
         return sum(inverse(q - prices[j]) for j in self.sellers)
 
+    def buy_at_premium(self, eta: float) -> float:
+        """Purchases at internal price own_price + eta, MWh."""
+        return self.total_buy_at(self.lam + eta)
+
+    def supply_at_gen(self, g: float) -> float:
+        """Generating g and buying at internal price C'(g), MWh."""
+        return g + self.total_buy_at(self.p.gen_cost.marginal(g))
+
 
 def _margins(q: _Quantities):
     """Per-regime margin = min over the regime's conditions of (lhs - rhs).
@@ -196,40 +205,12 @@ def classify(p: LocalProblem):
     return _classify(_Quantities(p))
 
 
-def _bisect(below, q: _Quantities, lo: float, hi: float) -> float:
-    """The point in [lo, hi] where the monotone test below(q, x) turns false.
-
-    Halves the bracket to float resolution: the balance and stationarity
-    residuals of the solution built from the root inherit this accuracy.
-    Callers pass a module function and q rather than a closure: building
-    a closure on every solve made regime 3 about 3% slower.
-    """
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if below(q, mid):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _purchases_short(q: _Quantities, eta: float) -> bool:
-    """Purchases at internal price own_price + eta fall short of demand."""
-    return q.total_buy_at(q.lam + eta) < q.p.demand
-
-
-def _supply_short(q: _Quantities, g: float) -> bool:
-    """Generating g and buying at internal price C'(g) falls short of demand."""
-    return g + q.total_buy_at(q.p.gen_cost.marginal(g)) < q.p.demand
-
-
 def _solve_eta(q: _Quantities):
     """Regime 2: the premium at which purchases alone cover demand.
 
-    Purchases rise with eta, so bisect eta on [0, lam_min + gamma'(demand)
-    - own_price]: at the top end the cheapest seller alone covers demand.
+    Purchases rise with eta, so the root lies in [0, lam_min +
+    gamma'(demand) - own_price]: at the top end the cheapest seller alone
+    covers demand.
     """
     e_c = q.p.demand
     if q.buy_at_own >= e_c:
@@ -240,16 +221,17 @@ def _solve_eta(q: _Quantities):
         raise CaseClassificationError(
             f"node {q.p.node}: no sellers, regime 2 cannot cover demand {e_c}")
     hi = q.lam_min + q.transfer.marginal(e_c) - q.lam
-    eta = _bisect(_purchases_short, q, 0.0, hi)
+    eta = bracketed_root(q.buy_at_premium, e_c, 0.0, hi, q.buy_at_own - e_c,
+                         q.buy_at_premium(hi) - e_c)
     return eta, _active_at(q, eta)
 
 
 def _solve_gen(q: _Quantities):
     """Regime 3: the premium at which generation plus purchases cover demand.
 
-    Generation g and internal price C'(g) move together, so bisect g on
-    [0, demand] for g + purchases(C'(g)) = demand: the left side rises
-    with g, is at most demand at g = 0 (otherwise purchases alone cover
+    Generation g and internal price C'(g) move together, so solve
+    g + purchases(C'(g)) = demand for g in [0, demand]: the left side rises
+    with g, is below demand at g = 0 (otherwise purchases alone cover
     demand, which is regime 2's root) and at least demand at g = demand.
     """
     e_c = q.p.demand
@@ -259,7 +241,8 @@ def _solve_gen(q: _Quantities):
         return 0.0, _active_at(q, 0.0)
     if q.buy_at_cp0 >= e_c:
         return _solve_eta(q)
-    g = _bisect(_supply_short, q, 0.0, e_c)
+    g = bracketed_root(q.supply_at_gen, e_c, 0.0, e_c, q.buy_at_cp0 - e_c,
+                       (e_c + q.total_buy_at(q.cp_dem)) - e_c)
     # Supply at own_price falls short of demand, so C'(g) >= own_price up
     # to rounding.
     eta = max(0.0, q.p.gen_cost.marginal(g) - q.lam)
@@ -274,11 +257,11 @@ def solve_eta(case_id: int, p: LocalProblem):
     """Root of the internal-price equation for regimes 2 and 3.
 
     eta is the premium of the node's internal energy value over its own
-    price; returns (eta, active sellers). Regime 2 bisects eta on
+    price; returns (eta, active sellers). Regime 2 finds eta on
     [0, lam_min + gamma'(demand) - own_price], where the cheapest seller
     alone covers demand at the top end; it raises CaseClassificationError
-    for a node with demand and no sellers. Regime 3 bisects the generation
-    g on [0, demand] for g + purchases(C'(g)) = demand and returns
+    for a node with demand and no sellers. Regime 3 finds the generation
+    g on [0, demand] with g + purchases(C'(g)) = demand and returns
     max(0, C'(g) - own_price).
     """
     if case_id == 2:

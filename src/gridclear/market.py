@@ -7,6 +7,12 @@ what it offered. The prices are the dual variables of the supply-demand
 coupling constraints, so the trace tracks the dual value alongside a
 feasibilized primal cost; their gap closing is the convergence signal.
 
+Each node scales its price move by its own secant step, the two-point
+(Barzilai-Borwein) step on the dual: alpha = -dprice / dmismatch over its
+last two rounds when that is positive, else half its last step, clamped to
+[ALPHA_MIN, ALPHA_MAX]; the first step is alpha0. A node reads only its
+own price and mismatch for this, so the rule needs no extra message.
+
 All inter-node data flows through a transport (see transport module): the
 in-process loopback for `run`, or TCP sockets when each node is a separate
 process driving `run_agent`.
@@ -27,7 +33,10 @@ from .transport import (LoopbackTransport, Message, MessageKind,
                         ProtocolError, exchange_round)
 
 __all__ = [
+    "ALPHA_MIN",
+    "ALPHA_MAX",
     "StepSchedule",
+    "secant_step",
     "Scenario",
     "IterationTrace",
     "TradingAgent",
@@ -43,23 +52,33 @@ __all__ = [
 ]
 
 
+# Bounds of the secant price step, ($/MWh) per MWh of mismatch.
+ALPHA_MIN = 1e-3
+ALPHA_MAX = 1e7
+
+
 @dataclass(frozen=True)
 class StepSchedule:
-    """Diminishing price-update step: alpha(k) = alpha0 / (1 + k/kappa)."""
+    """Price-update step: alpha0 for every node's first move, then each
+    node's own secant step (see `secant_step`)."""
 
     alpha0: float = 0.5     # ($/MWh) per MWh of mismatch, at round 0
-    kappa: float = 1000.0   # rounds until the step has halved
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
             raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
-        if not (math.isfinite(self.kappa) and self.kappa > 0):
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
 
-    def alpha(self, k: int) -> float:
-        if k < 0:
-            raise ValueError(f"round index must be nonnegative, got {k}")
-        return self.alpha0 / (1.0 + k / self.kappa)
+
+def secant_step(alpha: float, d_price: float, d_mismatch: float) -> float:
+    """Next step of a node whose price moved by d_price while its mismatch
+    moved by d_mismatch: -d_price / d_mismatch when that is positive, else
+    half of alpha; clamped to [ALPHA_MIN, ALPHA_MAX]."""
+    step = 0.5 * alpha
+    if d_mismatch != 0.0:
+        ratio = -d_price / d_mismatch
+        if ratio > 0.0:
+            step = ratio
+    return min(ALPHA_MAX, max(ALPHA_MIN, step))
 
 
 @dataclass(frozen=True)
@@ -176,9 +195,10 @@ class TradingAgent:
     """One node's market behavior.
 
     Holds only what the node itself may know: its own price, the prices its
-    potential suppliers posted, and the bids addressed to it. Everything
-    else arrives as messages. Its subproblem is built from a price table
-    holding just those prices, so a lookup of any other node's price fails.
+    potential suppliers posted, the bids addressed to it, and its own last
+    price step. Everything else arrives as messages. Its subproblem is
+    built from a price table holding just those prices, so a lookup of any
+    other node's price fails.
     """
 
     def __init__(self, node: int, scenario: Scenario):
@@ -193,6 +213,9 @@ class TradingAgent:
         self.received_bids = {}
         self.problem = None
         self.solution = None
+        self._solved_at = None      # prices of the last solve
+        self.alpha = scenario.step.alpha0
+        self._last_move = None      # (price, mismatch) of the last update
 
     def price_messages(self, round_no: int):
         return [Message(round_no, self.node, j, MessageKind.PRICE, self.price)
@@ -206,9 +229,14 @@ class TradingAgent:
         self.seller_prices = {j: inbox[j].value for j in self.sellers}
 
     def solve(self) -> LocalSolution:
-        self.problem = local_problem(self.scenario, self.node,
-                                     {**self.seller_prices, self.node: self.price})
-        self.solution = solve_local(self.problem)
+        """Solve the subproblem at the current prices. When they equal the
+        prices of the last solve, its solution is still the optimum and is
+        returned as it is."""
+        prices = {**self.seller_prices, self.node: self.price}
+        if prices != self._solved_at:
+            self.problem = local_problem(self.scenario, self.node, prices)
+            self.solution = solve_local(self.problem)
+            self._solved_at = prices
         return self.solution
 
     def bid_messages(self, round_no: int):
@@ -232,9 +260,16 @@ class TradingAgent:
             requested += self.received_bids[j]
         return requested - self.solution.e_sell
 
-    def update_price(self, alpha: float) -> float:
+    def update_price(self) -> float:
+        """Move the own price by the secant step times the mismatch, floored
+        at zero; returns the mismatch."""
         m = self.mismatch()
-        self.price = max(0.0, self.price + alpha * m)
+        if self._last_move is not None:
+            last_price, last_m = self._last_move
+            self.alpha = secant_step(self.alpha, self.price - last_price,
+                                     m - last_m)
+        self._last_move = (self.price, m)
+        self.price = max(0.0, self.price + self.alpha * m)
         return m
 
 
@@ -363,9 +398,8 @@ def step(state: MarketState, scenario: Scenario) -> MarketState:
     state.trace.append(prices, bids, sg, dual, primal,
                        [a.solution.case_id for a in agents])
 
-    alpha = scenario.step.alpha(k)
     for a in agents:
-        a.update_price(alpha)
+        a.update_price()
     state.round += 1
     return state
 
@@ -426,7 +460,7 @@ def run_agent(scenario: Scenario, node: int, rounds: int, transport) -> dict:
         agent.take_bids(inbox)
         history.append(agent.price)
         cases.append(agent.solution.case_id)
-        agent.update_price(scenario.step.alpha(k))
+        agent.update_price()
     return {
         "node": node,
         "rounds": rounds,

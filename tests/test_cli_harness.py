@@ -38,7 +38,7 @@ def test_minimal_config_fills_defaults():
     assert scn.demands == (8.0, 11.0, 11.0, 6.0)
     assert scn.gen_costs[0] is DEFAULT_GENERATION_COST
     assert scn.transfer_cost.lin == 1.0 and scn.transfer_cost.cub == 1.0
-    assert scn.step.alpha0 == 0.5 and scn.step.kappa == 1000.0
+    assert scn.step.alpha0 == 0.5
     assert scn.tol_gap == 1e-4 and scn.tol_mismatch == 1e-3
     assert scn.max_iters == 20000
     assert spec.out_dir == "out"
@@ -53,7 +53,7 @@ def test_full_config_document():
         "gen_costs": [{"a": 10.0, "b": 5.0, "c": 0.1, "e_max": 12.0},
                       {"b": 60.0}],
         "transfer_cost": {"lin": 2.0, "cub": 0.5},
-        "step": {"alpha0": 0.3, "kappa": 500},
+        "step": {"alpha0": 0.3},
         "tol_gap": 1e-5,
         "tol_mismatch": 1e-4,
         "max_iters": 5000,
@@ -68,7 +68,7 @@ def test_full_config_document():
     assert scn.gen_costs[1].b == 60.0
     assert scn.gen_costs[1].a == DEFAULT_GENERATION_COST.a   # unset -> default
     assert scn.transfer_cost.lin == 2.0
-    assert scn.step.kappa == 500.0
+    assert scn.step.alpha0 == 0.3
     assert scn.tol_gap == 1e-5 and scn.max_iters == 5000
     assert spec.rounds == 100
     assert spec.agents == {0: ("127.0.0.1", 9001), 1: ("localhost", 9002)}
@@ -103,6 +103,8 @@ def test_config_errors_name_the_path():
         ('{"demands": [1], "gen_cost": {"b": 0}}', "config.gen_cost"),
         ('{"demands": [1], "transfer_cost": {"cub": 0}}', "config.transfer_cost"),
         ('{"demands": [1], "step": {"alpha0": -1}}', "config.step"),
+        ('{"demands": [1], "step": {"kappa": 500}}',
+         "config.step.kappa: unknown key"),
         ('{"demands": [1], "tol_gap": 0}', "tol_gap"),
         ('{"demands": [1], "mode": "sweep"}', "config.mode: unknown key"),
         ('{"demands": [1], "seed": 3}', "config.seed: unknown key"),

@@ -56,6 +56,31 @@ def test_inverse_marginal_roundtrip():
         assert TR.marginal(TR.inverse_marginal(y)) == pytest.approx(y, rel=1e-12)
 
 
+def reference_inverse(model, y):
+    """Bisection on the same bracket: doubled from 1 until it encloses y,
+    then halved until it is at most 1e-12 MWh wide."""
+    if y <= model.marginal(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while model.marginal(hi) < y:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if model.marginal(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_soft_cap_inverse_matches_bisection():
+    rng = np.random.default_rng(12)
+    prices = [float(y) for y in rng.uniform(57.0, 2000.0, size=1000)]
+    for y in prices + [1e6, 1e12, 8e21]:
+        x = GEN.inverse_marginal(y)
+        assert abs(x - reference_inverse(GEN, y)) <= 2e-12, y
+
+
 def test_inverse_marginal_clamps_below_first_unit():
     assert GEN.inverse_marginal(GEN.marginal(0.0) - 1.0) == 0.0
     assert GEN.inverse_marginal(0.0) == 0.0

@@ -178,6 +178,26 @@ def test_regime3_solve_has_no_nested_generation_inverse(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_regime3_solve_makes_at_most_60_marginal_calls(monkeypatch):
+    # The bisections this replaced made about 104 calls a solve: 45 in the
+    # generation inverse at the node's own price and 55 in the root.
+    problems = list(random_regime_problems(3, 500))
+    # node 1 of the two-node line [2, 11] near its converged prices
+    problems.append(problem(11.0, 69.75, {0: 69.85}))
+    calls = []
+    marginal = SoftCappedQuadratic.marginal
+
+    def counting(self, x):
+        calls.append(x)
+        return marginal(self, x)
+
+    monkeypatch.setattr(SoftCappedQuadratic, "marginal", counting)
+    for p in problems:
+        calls.clear()
+        assert solve_local(p).case_id == 3, p
+        assert len(calls) <= 60, (len(calls), p)
+
+
 def test_case4_generates_surplus_to_sell():
     p = problem(5.0, 70.0, {1: 80.0})
     s = solve_local(p)

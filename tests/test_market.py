@@ -1,14 +1,19 @@
+import hashlib
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from gridclear import topology
+from gridclear import market, topology
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
                                    DEFAULT_TRANSFER_COST)
-from gridclear.local_solver import LocalProblem, solve_local
-from gridclear.market import (Scenario, StepSchedule, TradingAgent,
-                              dual_value, feasibilize_and_cost, local_problem,
-                              run, run_agent)
-from gridclear.transport import LoopbackTransport, ProtocolError
+from gridclear.local_solver import LocalProblem, net_expenditure, solve_local
+from gridclear.market import (ALPHA_MAX, ALPHA_MIN, Scenario, StepSchedule,
+                              TradingAgent, dual_value, feasibilize_and_cost,
+                              local_problem, run, run_agent, secant_step)
+from gridclear.transport import (LoopbackTransport, Message, MessageKind,
+                                 ProtocolError)
 
 GEN = DEFAULT_GENERATION_COST
 TR = DEFAULT_TRANSFER_COST
@@ -20,17 +25,40 @@ def scenario(kind, demands, **kw):
                     gen_costs=(GEN,) * m, transfer_cost=TR, **kw)
 
 
-def test_step_schedule_decays():
-    s = StepSchedule(alpha0=0.5, kappa=1000.0)
-    assert s.alpha(0) == 0.5
-    assert s.alpha(1000) == 0.25
-    assert s.alpha(3000) == 0.125
-    with pytest.raises(ValueError):
-        s.alpha(-1)
+def test_secant_step_rule():
+    agent = TradingAgent(0, scenario("line", [2.0, 10.0]))
+    agent.solution = SimpleNamespace(e_sell=0.0)
+    prices, mismatches = [], []
+
+    def update(requested):
+        agent.received_bids = {1: requested}
+        prices.append(agent.price)
+        mismatches.append(agent.update_price())
+
+    # the first step is alpha0
+    update(2.0)
+    assert agent.alpha == 0.5
+    assert agent.price == prices[0] + 0.5 * 2.0
+    # then -dprice / dmismatch over the node's last two rounds
+    update(1.5)
+    secant = -(prices[1] - prices[0]) / (mismatches[1] - mismatches[0])
+    assert secant > 0.0 and agent.alpha == secant
+    assert agent.price == prices[1] + secant * 1.5
+    # the mismatch rose with the price: the ratio is negative, so halve
+    update(2.0)
+    assert agent.alpha == 0.5 * secant
+    # the mismatch did not move: no ratio, so halve again
+    update(2.0)
+    assert agent.alpha == 0.25 * secant
+    # both clamps
+    assert secant_step(0.5, 1e9, -1e-3) == ALPHA_MAX
+    assert secant_step(0.5, 1e-9, -1.0) == ALPHA_MIN
+    assert secant_step(1.5 * ALPHA_MIN, 1.0, 1.0) == ALPHA_MIN
+    assert secant_step(4.0 * ALPHA_MAX, 0.0, 0.0) == ALPHA_MAX
+    assert (ALPHA_MIN, ALPHA_MAX) == (1e-3, 1e7)
     with pytest.raises(ValueError):
         StepSchedule(alpha0=0.0)
-    with pytest.raises(ValueError):
-        StepSchedule(kappa=-5.0)
+    assert not hasattr(StepSchedule(), "kappa")
 
 
 def test_scenario_validation():
@@ -72,7 +100,7 @@ def test_fixed_round_run_records_every_round():
 def test_price_update_rule():
     scn = scenario("line", [2.0, 10.0])
     trace = run(scn, rounds=2)
-    alpha0 = scn.step.alpha(0)
+    alpha0 = scn.step.alpha0
     for i in range(2):
         expected = max(0.0, trace.prices[0][i]
                        + alpha0 * trace.subgradients[0][i])
@@ -216,7 +244,7 @@ def test_agent_rejects_wrong_sender_set():
 
 
 def test_agent_price_floor_at_zero():
-    scn = scenario("line", [2.0, 10.0])
+    scn = scenario("line", [2.0, 10.0], step=StepSchedule(alpha0=1.0))
     agent = TradingAgent(0, scn)
     # selling with no takers drives the price down, but never below zero
     agent.solution = solve_local(LocalProblem(
@@ -225,5 +253,103 @@ def test_agent_price_floor_at_zero():
     assert agent.solution.e_sell > 1.0
     agent.received_bids = {1: 0.0}
     agent.price = 0.5
-    agent.update_price(alpha=1.0)
+    agent.update_price()
     assert agent.price == 0.0
+
+
+def count_solves(monkeypatch):
+    calls = []
+    solve = market.solve_local
+
+    def counting(p):
+        calls.append(p)
+        return solve(p)
+
+    monkeypatch.setattr(market, "solve_local", counting)
+    return calls
+
+
+def test_agent_solves_once_per_distinct_prices(monkeypatch):
+    calls = count_solves(monkeypatch)
+    agent = TradingAgent(1, scenario("line", [2.0, 6.0, 10.0]))  # buys from 0, 2
+
+    def solve_at(own, p0, p2):
+        agent.price = own
+        agent.take_prices({j: Message(0, j, 1, MessageKind.PRICE, v)
+                           for j, v in ((0, p0), (2, p2))})
+        return agent.solve()
+
+    first = solve_at(60.0, 58.0, 62.0)
+    assert solve_at(60.0, 58.0, 62.0) is first
+    assert len(calls) == 1
+    # one ulp on any one price is a new subproblem
+    up = lambda x: math.nextafter(x, math.inf)
+    for prices in [(up(60.0), 58.0, 62.0), (60.0, up(58.0), 62.0),
+                   (60.0, 58.0, up(62.0))]:
+        n = len(calls)
+        solve_at(*prices)
+        solve_at(*prices)
+        assert len(calls) == n + 1, prices
+        assert agent.problem.own_price == prices[0]
+        assert agent.problem.seller_prices == {0: prices[1], 2: prices[2]}
+    # only the last solve is remembered
+    solve_at(60.0, 58.0, 62.0)
+    assert len(calls) == 5
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for name, value in sorted(vars(trace).items()):
+        h.update(repr((name, value)).encode())
+    return h.hexdigest()
+
+
+def test_memo_leaves_tcp_line_trace_unchanged(monkeypatch):
+    # The two-node line the TCP benchmark runs: its prices stop moving
+    # after a few dozen rounds, so most rounds reuse the last solution.
+    scn = scenario("line", [2.0, 11.0])
+    calls = count_solves(monkeypatch)
+    memo = run(scn, rounds=2000)
+    assert len(calls) < 200
+    solve = TradingAgent.solve
+
+    def without_memo(self):
+        self._solved_at = None
+        return solve(self)
+
+    monkeypatch.setattr(TradingAgent, "solve", without_memo)
+    calls.clear()
+    fresh = run(scn, rounds=2000)
+    assert len(calls) == 2 * 2000
+    assert trace_digest(fresh) == trace_digest(memo)
+
+
+def stiff_markets():
+    """Ten of the seeded markets (seed 7: 2-6 nodes, demands U(0.5, 13)
+    MWh, topology cycling full/ring/line) that the diminishing step
+    alpha0 / (1 + k/1000) left unconverged at 20,000 rounds. Demands past
+    the soft cap near 11 MWh make their duals stiff."""
+    rng = np.random.default_rng(7)
+    kinds = ("full", "ring", "line")
+    out = []
+    for i in range(60):
+        m = int(rng.integers(2, 7))
+        demands = tuple(float(x) for x in rng.uniform(0.5, 13.0, size=m))
+        if i in (3, 11, 14, 17, 21, 24, 28, 29, 31, 34):
+            out.append(scenario(kinds[i % 3], demands))
+    return out
+
+
+def test_stiff_markets_clear():
+    for scn in stiff_markets():
+        label = f"{scn.topology.m} nodes, demands {scn.demands}"
+        trace = run(scn)
+        assert trace.converged, label
+        for k in range(trace.rounds()):
+            assert trace.duals[k] <= trace.primals[k] + 1e-9, (label, k)
+        lam = trace.final_prices
+        for i in range(scn.topology.m):
+            p = local_problem(scn, i, lam)
+            cost = net_expenditure(p, solve_local(p))
+            standalone = GEN.value(scn.demands[i]) + TR.value(0.0)
+            assert cost <= standalone + 1e-6, (label, i)
