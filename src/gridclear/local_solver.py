@@ -10,8 +10,20 @@ subject to the internal energy balance
 
     e_gen = demand + e_sell - sum_j e_buy[j],   all quantities >= 0.
 
-The optimum falls into exactly one of six regimes, distinguished by which
-of (sell, buy, generate) are active:
+The solution follows from one supply-demand equation. At an internal price
+q the node's supply is its own generation C'^-1(q) plus its purchases
+sum_j gamma'^-1(q - price_j), each clamped to zero below the first MWh's
+marginal cost. If the supply at its own price exceeds demand, the node
+sells the surplus at that price. Otherwise it values energy at
+own_price + eta, where the premium eta >= 0 is the least that makes supply
+cover demand, and sells nothing. The premium is found on a fixed bracket by
+`bracketed_root` (safeguarded regula falsi): when purchases alone cover
+demand below C'(0), on [0, lam_min + gamma'(demand) - own_price], where
+lam_min is the cheapest seller's price; otherwise as the generation g on
+[0, demand] with g + purchases(C'(g)) = demand, one marginal-cost
+evaluation per step, reading eta off C'(g).
+
+Which of (generate, buy, sell) come out positive names the regime:
 
     1  neither sells nor buys (generates exactly its demand)
     2  buys only
@@ -19,15 +31,6 @@ of (sell, buy, generate) are active:
     4  generates and sells
     5  buys and sells (generates nothing)
     6  generates, buys and sells
-
-Each regime has a closed-form solution built from the inverse marginal
-costs; regimes 2 and 3 need a scalar root for eta, the premium of the
-node's internal energy value over its own price. Both roots are found on
-fixed brackets by `bracketed_root` (safeguarded regula falsi). Regime 2
-solves for eta on [0, lam_min + gamma'(demand) - own_price], where lam_min
-is the cheapest seller's price. Regime 3 solves for the generation g on
-[0, demand] in g + purchases(C'(g)) = demand, one marginal-cost evaluation
-per step, and reads eta off C'(g).
 """
 
 from __future__ import annotations
@@ -41,17 +44,14 @@ from .cost_models import CostModel, bracketed_root
 __all__ = [
     "LocalProblem",
     "LocalSolution",
-    "CaseClassificationError",
-    "classify",
     "solve_local",
-    "solve_eta",
     "net_expenditure",
     "verify_kkt",
 ]
 
-# Tolerance on every inequality in the case conditions. Boundaries between
-# regimes are measure-zero and the solutions coincide there, so this only
-# disambiguates ties.
+# MWh of surplus at its own price below which a node sells nothing. A
+# buyer's price settles onto the edge where that surplus is zero; the slack
+# keeps it from trading rounding-sized sales there.
 CASE_EPS = 1e-9
 
 # Energies below this are treated as inactive when checking multipliers.
@@ -59,10 +59,6 @@ ACTIVE_ATOL = 1e-9
 
 # MWh of negative energy or imbalance a feasible solution may show.
 FEASIBLE_ATOL = 1e-6
-
-
-class CaseClassificationError(RuntimeError):
-    """No regime's conditions hold, even with boundary tolerance."""
 
 
 @dataclass(frozen=True)
@@ -103,229 +99,94 @@ class LocalSolution:
         return self.e_gen - (demand + self.e_sell - self.total_bought())
 
 
-class _Quantities:
-    """Derived prices and clamped inverse marginals shared by the regimes."""
-
-    def __init__(self, p: LocalProblem):
-        self.p = p
-        gen, tr = p.gen_cost, p.transfer_cost
-        self.transfer = tr
-        self.cp0 = gen.marginal(0.0)            # marginal cost of the first MWh
-        self.cp_dem = gen.marginal(p.demand)    # marginal cost at own demand
-        self.g0 = tr.marginal(0.0)              # marginal transfer cost at zero
-        self.lam = p.own_price
-        self.sellers = sorted(p.seller_prices)
-        self.prices = p.seller_prices
-        self.lam_min = min(p.seller_prices.values()) if p.seller_prices else math.inf
-        # Supply available if the node prices energy internally at lam
-        # (generation is clamped to 0 below cp0).
-        self.own_gen = gen.inverse_marginal(self.lam)
-        self.buy_at_own = self.total_buy_at(self.lam)
-        # Purchases if the internal price sat exactly at the first-MWh
-        # generation cost (the buy-only / buy-and-generate threshold).
-        self.buy_at_cp0 = self.total_buy_at(self.cp0)
-
-    def buy_at(self, q: float) -> dict:
-        # Each seller supplies the quantity whose marginal transfer cost
-        # matches the price headroom q - lam_j (zero when q is below the
-        # delivered price of the first MWh).
-        return {
-            j: self.transfer.inverse_marginal(q - self.prices[j])
-            for j in self.sellers
-        }
-
-    def total_buy_at(self, q: float) -> float:
-        inverse, prices = self.transfer.inverse_marginal, self.prices
-        return sum(inverse(q - prices[j]) for j in self.sellers)
-
-    def buy_at_premium(self, eta: float) -> float:
-        """Purchases at internal price own_price + eta, MWh."""
-        return self.total_buy_at(self.lam + eta)
-
-    def supply_at_gen(self, g: float) -> float:
-        """Generating g and buying at internal price C'(g), MWh."""
-        return g + self.total_buy_at(self.p.gen_cost.marginal(g))
-
-
-def _margins(q: _Quantities):
-    """Per-regime margin = min over the regime's conditions of (lhs - rhs).
-
-    A regime's conditions all hold iff its margin >= 0; the six regions
-    partition price space, sharing only their boundaries.
-    """
-    e_c = q.p.demand
-    lam, cp0, cp_dem, g0, lam_min = q.lam, q.cp0, q.cp_dem, q.g0, q.lam_min
-    supply_own = q.own_gen + q.buy_at_own       # energy available at price lam
-
-    if e_c > 0.0:
-        m1 = min(cp_dem - lam, lam_min - (cp_dem - g0))
-        m2 = min(cp0 - lam, e_c - supply_own, q.buy_at_cp0 - e_c)
-        m3 = min(e_c - supply_own, e_c - q.buy_at_cp0, (cp_dem - g0) - lam_min)
-    else:
-        # With nothing to consume, buying only ever pays if it can be resold,
-        # so the buy-to-consume regimes vanish and regime 1 widens.
-        m1 = min(cp0 - lam, lam_min - (lam - g0))
-        m2 = -math.inf
-        m3 = -math.inf
-    m4 = min(lam - cp_dem, lam_min - (lam - g0))
-    m5 = min(cp0 - lam, (lam - g0) - lam_min, q.buy_at_own - e_c)
-    m6 = min(lam - cp0, (lam - g0) - lam_min, supply_own - e_c)
-    return (m1, m2, m3, m4, m5, m6)
-
-
-def _classify(q: _Quantities):
-    margins = _margins(q)
-    for case_id, margin in enumerate(margins, start=1):
-        if margin >= -CASE_EPS:
-            if case_id in (2, 3):
-                solve = _solve_eta if case_id == 2 else _solve_gen
-                eta, active = solve(q)
-                return case_id, active, eta
-            if case_id in (5, 6):
-                active = frozenset(
-                    j for j in q.sellers if q.prices[j] < q.lam - q.g0
-                )
-                return case_id, active, 0.0
-            return case_id, frozenset(), 0.0
-    p = q.p
-    raise CaseClassificationError(
-        f"node {p.node}: no regime matched. own_price={p.own_price}, "
-        f"demand={p.demand}, seller_prices={p.seller_prices}, "
-        f"margins={margins}"
-    )
-
-
-def classify(p: LocalProblem):
-    """Return (case_id, active_sellers, eta) for the regime that holds at p.
-
-    Regimes are checked in order 1..6 with CASE_EPS slack; the first whose
-    conditions all hold wins (ties only happen on region boundaries, where
-    the solutions coincide).
-    """
-    return _classify(_Quantities(p))
-
-
-def _solve_eta(q: _Quantities):
-    """Regime 2: the premium at which purchases alone cover demand.
-
-    Purchases rise with eta, so the root lies in [0, lam_min +
-    gamma'(demand) - own_price]: at the top end the cheapest seller alone
-    covers demand.
-    """
-    e_c = q.p.demand
-    if q.buy_at_own >= e_c:
-        # Boundary with the sell regimes: purchases already meet demand at
-        # the node's own price, so the premium collapses to zero.
-        return 0.0, _active_at(q, 0.0)
-    if not q.sellers:
-        raise CaseClassificationError(
-            f"node {q.p.node}: no sellers, regime 2 cannot cover demand {e_c}")
-    hi = q.lam_min + q.transfer.marginal(e_c) - q.lam
-    eta = bracketed_root(q.buy_at_premium, e_c, 0.0, hi, q.buy_at_own - e_c,
-                         q.buy_at_premium(hi) - e_c)
-    return eta, _active_at(q, eta)
-
-
-def _solve_gen(q: _Quantities):
-    """Regime 3: the premium at which generation plus purchases cover demand.
-
-    Generation g and internal price C'(g) move together, so solve
-    g + purchases(C'(g)) = demand for g in [0, demand]: the left side rises
-    with g, is below demand at g = 0 (otherwise purchases alone cover
-    demand, which is regime 2's root) and at least demand at g = demand.
-    """
-    e_c = q.p.demand
-    if q.own_gen + q.buy_at_own >= e_c:
-        # Boundary with the sell regimes: supply already meets demand at the
-        # node's own price, so the premium collapses to zero.
-        return 0.0, _active_at(q, 0.0)
-    if q.buy_at_cp0 >= e_c:
-        return _solve_eta(q)
-    g = bracketed_root(q.supply_at_gen, e_c, 0.0, e_c, q.buy_at_cp0 - e_c,
-                       (e_c + q.total_buy_at(q.cp_dem)) - e_c)
-    # Supply at own_price falls short of demand, so C'(g) >= own_price up
-    # to rounding.
-    eta = max(0.0, q.p.gen_cost.marginal(g) - q.lam)
-    return eta, _active_at(q, eta)
-
-
-def _active_at(q: _Quantities, eta: float) -> frozenset:
-    return frozenset(j for j in q.sellers if q.lam + eta - q.prices[j] > q.g0)
-
-
-def solve_eta(case_id: int, p: LocalProblem):
-    """Root of the internal-price equation for regimes 2 and 3.
-
-    eta is the premium of the node's internal energy value over its own
-    price; returns (eta, active sellers). Regime 2 finds eta on
-    [0, lam_min + gamma'(demand) - own_price], where the cheapest seller
-    alone covers demand at the top end; it raises CaseClassificationError
-    for a node with demand and no sellers. Regime 3 finds the generation
-    g on [0, demand] with g + purchases(C'(g)) = demand and returns
-    max(0, C'(g) - own_price).
-    """
-    if case_id == 2:
-        return _solve_eta(_Quantities(p))
-    if case_id == 3:
-        return _solve_gen(_Quantities(p))
-    raise ValueError(f"eta is only defined for regimes 2 and 3, got {case_id}")
-
-
-def _buy_with_exact_total(q: _Quantities, internal_price: float, total: float):
-    """Purchases at the given internal price, nudged to sum exactly to total.
+def _buy_with_exact_total(buys: dict, total: float) -> None:
+    """Nudge the purchases in place to sum exactly to total.
 
     The root for the internal price is only accurate to float resolution, so
     the raw purchase sum can miss the target by ~1e-12 MWh; the residual is
     absorbed by the largest purchase to make the energy balance exact.
     """
-    buys = q.buy_at(internal_price)
     bought = sum(buys.values())
     if bought > 0.0:
         j_big = max(buys, key=buys.get)
         buys[j_big] = max(0.0, buys[j_big] + (total - bought))
-    return buys
+
+
+# Regime by which of (generate, buy, sell) are positive. A node that does
+# none of them (no demand and nothing worth reselling) counts as idle.
+_REGIMES = {
+    (True, False, False): 1, (False, False, False): 1,
+    (False, True, False): 2, (True, True, False): 3,
+    (True, False, True): 4, (False, True, True): 5, (True, True, True): 6,
+}
 
 
 def solve_local(p: LocalProblem) -> LocalSolution:
     """The unique minimizer of the node's subproblem at the given prices."""
-    q = _Quantities(p)
-    case_id, active, eta = _classify(q)
-    zero_buys = {j: 0.0 for j in q.sellers}
+    gen, lam, demand = p.gen_cost, p.own_price, p.demand
+    inverse = p.transfer_cost.inverse_marginal
+    sellers = sorted(p.seller_prices.items())
 
-    if case_id == 1:
-        return LocalSolution(p.node, 1, p.demand, 0.0, zero_buys, active, 0.0)
+    def buys_at(q):
+        # Each seller supplies the quantity whose marginal transfer cost
+        # matches the price headroom q - lam_j (zero when q is below the
+        # delivered price of the first MWh).
+        return {j: inverse(q - lam_j) for j, lam_j in sellers}
 
-    if case_id == 2:
-        buys = _buy_with_exact_total(q, q.lam + eta, p.demand)
-        return LocalSolution(p.node, 2, 0.0, 0.0, buys, active, eta)
+    def bought_at(q):
+        return sum(inverse(q - lam_j) for _, lam_j in sellers)
 
-    if case_id == 3:
-        buys = q.buy_at(q.lam + eta)
-        e_gen = p.demand - sum(buys.values())
-        if e_gen < 0.0:  # boundary with regime 2, off by root tolerance
-            buys = _buy_with_exact_total(q, q.lam + eta, p.demand)
-            e_gen = 0.0
-        return LocalSolution(p.node, 3, e_gen, 0.0, buys, active, eta)
+    own_gen = gen.inverse_marginal(lam)
+    buys = buys_at(lam)
+    bought = sum(buys.values())
+    surplus = own_gen + bought - demand
+    if surplus > CASE_EPS or demand == 0.0:
+        # Supply at its own price exceeds demand: sell the surplus at lam.
+        # Without purchases, generating demand plus the sale keeps the
+        # energy balance exact.
+        e_gen = own_gen if bought else demand + surplus
+        return LocalSolution(p.node, _REGIMES[e_gen > 0.0, bought > 0.0,
+                                              surplus > 0.0],
+                             e_gen, surplus, buys, _active(buys), 0.0)
 
-    if case_id == 4:
-        e_sell = max(0.0, q.own_gen - p.demand)
-        return LocalSolution(p.node, 4, p.demand + e_sell, e_sell, zero_buys,
-                             active, 0.0)
+    eta = 0.0
+    buy_only = False
+    if surplus < 0.0:
+        short_at_cp0 = bought_at(gen.marginal(0.0)) - demand
+        if short_at_cp0 >= 0.0:
+            # Purchases alone cover demand below the first MWh's cost. They
+            # rise with the premium, and at the top of the bracket the
+            # cheapest seller alone covers demand.
+            buy_only = True
+            hi = (min(p.seller_prices.values())
+                  + p.transfer_cost.marginal(demand) - lam)
+            eta = bracketed_root(lambda e: bought_at(lam + e), demand,
+                                 0.0, hi, surplus, bought_at(lam + hi) - demand)
+        else:
+            # With no seller delivering below C'(demand) the node generates
+            # all of it. Otherwise generation g and internal price C'(g)
+            # move together: g + purchases(C'(g)) rises with g, is short of
+            # demand at g = 0 and covers it at g = demand.
+            bought_at_cap = bought_at(gen.marginal(demand))
+            if bought_at_cap > 0.0:
+                g = bracketed_root(lambda g: g + bought_at(gen.marginal(g)),
+                                   demand, 0.0, demand, short_at_cp0,
+                                   (demand + bought_at_cap) - demand)
+                eta = max(0.0, gen.marginal(g) - lam)
+    if eta:
+        buys = buys_at(lam + eta)
+    active = _active(buys)
+    e_gen = 0.0 if buy_only else demand - sum(buys.values())
+    if e_gen <= 0.0:  # purchases cover demand, up to root tolerance
+        _buy_with_exact_total(buys, demand)
+        e_gen = 0.0
+    # Whatever of demand the node does not generate, it buys.
+    return LocalSolution(p.node, _REGIMES[e_gen > 0.0, e_gen < demand, False],
+                         e_gen, 0.0, buys, active, eta)
 
-    if case_id == 5:
-        buys = q.buy_at(q.lam)
-        e_sell = max(0.0, sum(buys.values()) - p.demand)
-        if e_sell == 0.0:  # boundary: purchases exactly cover demand
-            buys = _buy_with_exact_total(q, q.lam, p.demand)
-        return LocalSolution(p.node, 5, 0.0, e_sell, buys, active, 0.0)
 
-    # regime 6
-    buys = q.buy_at(q.lam)
-    e_gen = q.own_gen
-    e_sell = max(0.0, e_gen + sum(buys.values()) - p.demand)
-    if e_sell == 0.0:  # boundary: demand exactly absorbs generation + buys
-        e_gen = max(0.0, p.demand - sum(buys.values()))
-    return LocalSolution(p.node, 6, e_gen, e_sell, buys, active, 0.0)
+def _active(buys: dict) -> frozenset:
+    return frozenset(j for j, amount in buys.items() if amount > 0.0)
 
 
 def net_expenditure(p: LocalProblem, s: LocalSolution) -> float:

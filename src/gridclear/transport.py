@@ -234,6 +234,9 @@ class TcpTransport:
         except OSError as e:
             self.close()
             raise TransportError(f"node {self.node} mesh setup failed: {e}") from e
+        except BaseException:
+            self.close()    # a timeout or a bad peer: drop the peers dialled
+            raise
         finally:
             if self._listener is not None:
                 self._listener.close()
@@ -267,12 +270,14 @@ class TcpTransport:
         except socket.timeout:
             raise TransportError(
                 f"node {self.node}: timeout waiting for peers") from None
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        preamble = self._recv_exact(conn, 2, deadline)
-        (peer,) = struct.unpack("<H", preamble)
-        if peer not in self._neighbors or peer <= self.node or peer in self._conns:
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            (peer,) = struct.unpack("<H", self._recv_exact(conn, 2, deadline))
+            if peer not in self._neighbors or peer <= self.node or peer in self._conns:
+                raise ProtocolError(f"node {self.node}: unexpected peer id {peer}")
+        except BaseException:
             conn.close()
-            raise ProtocolError(f"node {self.node}: unexpected peer id {peer}")
+            raise
         self._conns[peer] = conn
 
     @staticmethod

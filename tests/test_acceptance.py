@@ -19,9 +19,8 @@ import pytest
 from gridclear import topology
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
                                    DEFAULT_TRANSFER_COST)
-from gridclear.local_solver import (LocalProblem, _Quantities, _margins,
-                                    net_expenditure, solve_eta, solve_local,
-                                    verify_kkt)
+from gridclear.local_solver import (LocalProblem, net_expenditure,
+                                    solve_local, verify_kkt)
 from gridclear.market import Scenario, run
 from gridclear.oracle import (local_gradient, local_objective,
                               solve_global_numeric, solve_local_numeric)
@@ -126,11 +125,43 @@ def test_closed_form_matches_numeric_oracle_everywhere():
 
 # 3 -- the six regimes partition price space ----------------------------------
 
+def regime_margins(p):
+    """Per regime 1..6, the least slack (lhs - rhs) among its conditions.
+
+    A regime holds iff its margin is >= 0. The conditions compare the
+    node's own price lam with its marginal generation cost at zero (cp0)
+    and at demand (cp_dem), the cheapest seller's delivered price, and the
+    supply of generation plus purchases at an internal price.
+    """
+    d, lam = p.demand, p.own_price
+    cp0, cp_dem, g0 = GEN.marginal(0.0), GEN.marginal(d), TR.marginal(0.0)
+    lam_min = min(p.seller_prices.values(), default=math.inf)
+
+    def bought(q):
+        return sum(TR.inverse_marginal(q - v)
+                   for v in p.seller_prices.values())
+
+    supply = GEN.inverse_marginal(lam) + bought(lam)
+    if d > 0.0:
+        idle = min(cp_dem - lam, lam_min - (cp_dem - g0))
+        buy = min(cp0 - lam, d - supply, bought(cp0) - d)
+        gen_buy = min(d - supply, d - bought(cp0), (cp_dem - g0) - lam_min)
+    else:
+        # nothing to consume: buying pays only for resale
+        idle = min(cp0 - lam, lam_min - (lam - g0))
+        buy = gen_buy = -math.inf
+    gen_sell = min(lam - cp_dem, lam_min - (lam - g0))
+    buy_sell = min(cp0 - lam, (lam - g0) - lam_min, bought(lam) - d)
+    all_three = min(lam - cp0, (lam - g0) - lam_min, supply - d)
+    return (idle, buy, gen_buy, gen_sell, buy_sell, all_three)
+
+
 def test_exactly_one_regime_fires():
     for p in random_local_instances(10000):
-        margins = _margins(_Quantities(p))
-        fired = sum(1 for m in margins if m >= -1e-9)
-        assert fired == 1, f"{fired} regimes fire for {p}: {margins}"
+        margins = regime_margins(p)
+        fired = [r for r, m in enumerate(margins, start=1) if m >= -1e-9]
+        assert len(fired) == 1, f"{fired} regimes fire for {p}: {margins}"
+        assert solve_local(p).case_id == fired[0], p
 
 
 def test_regime_boundaries_agree():
@@ -167,11 +198,12 @@ def test_regime_boundaries_agree():
     # buying-everything vs buying-and-generating, at the demand where the
     # purchase capacity at the first-unit generation cost is exactly spent
     demand = TR.inverse_marginal(cp0 - 30.0)
+    s2 = solve_local(local(demand - 1e-11, 40.0, {1: 30.0}))
+    s3 = solve_local(local(demand + 1e-11, 40.0, {1: 30.0}))
+    assert (s2.case_id, s3.case_id) == (2, 3)
+    assert abs(s2.eta - s3.eta) <= 1e-9
+    assert GEN.inverse_marginal(40.0 + s3.eta) <= 1e-9
     p = local(demand, 40.0, {1: 30.0})
-    eta2, _ = solve_eta(2, p)
-    eta3, _ = solve_eta(3, p)
-    assert abs(eta2 - eta3) <= 1e-9
-    assert GEN.inverse_marginal(40.0 + eta3) <= 1e-9
     s = solve_local(p)
     assert s.case_id in (2, 3)
     assert s.total_bought() == pytest.approx(demand, abs=1e-9)

@@ -5,9 +5,8 @@ import pytest
 
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
                                    DEFAULT_TRANSFER_COST, SoftCappedQuadratic)
-from gridclear.local_solver import (LocalProblem, LocalSolution, classify,
-                                    net_expenditure, solve_eta, solve_local,
-                                    verify_kkt)
+from gridclear.local_solver import (CASE_EPS, LocalProblem, LocalSolution,
+                                    net_expenditure, solve_local, verify_kkt)
 
 GEN = DEFAULT_GENERATION_COST
 TR = DEFAULT_TRANSFER_COST
@@ -39,6 +38,7 @@ def test_case2_buys_everything():
     # demand 2 from one seller: transfer marginal 1 + 3*4 = 13, so the
     # internal valuation sits 30 + 13 - 40 = 3 above the node's own price
     assert s.eta == pytest.approx(3.0, abs=1e-9)
+    assert s.active_sellers == frozenset({1})
     assert verify_kkt(p, s) <= 1e-6
 
 
@@ -80,15 +80,16 @@ def reference_eta(p, generates=True):
 
 
 def regime3_edges():
-    # premium collapses to zero: supply at the node's own price meets demand
+    # premium collapses to zero: supply at the node's own price meets
+    # demand, or exceeds it by less than CASE_EPS, too little to sell
     for lam, sellers in [(60.0, {1: 50.0}), (58.0, {1: 45.0, 2: 56.5}),
                          (65.0, {1: 40.0, 2: 55.0, 3: 62.0})]:
         supply = GEN.inverse_marginal(lam) + sum(
             TR.inverse_marginal(lam - v) for v in sellers.values())
-        for offset in (0.0, 1e-12, 1e-10, 1e-6):
+        for offset in (-0.5 * CASE_EPS, 0.0, 1e-12, 1e-10, 1e-6):
             yield problem(supply + offset, lam, sellers)
     # generation vanishes: purchases at the first-MWh cost nearly meet
-    # demand (closer than CASE_EPS the buy-only regime 2 wins the tie)
+    # demand (when they meet it, the buy-only regime 2 holds)
     cp0 = GEN.marginal(0.0)
     for lam, sellers in [(40.0, {1: 30.0}), (45.0, {1: 35.0, 2: 50.0}),
                          (30.0, {1: 20.0, 2: 25.0})]:
@@ -120,7 +121,7 @@ def random_regime_problems(regime, count, seed=8):
         sellers = {j + 1: float(rng.uniform(20.0, 75.0)) for j in range(n)}
         p = problem(float(rng.uniform(0.0, 13.0)),
                     float(rng.uniform(20.0, 80.0)), sellers)
-        if classify(p)[0] == regime:
+        if solve_local(p).case_id == regime:
             found += 1
             yield p
 
@@ -136,9 +137,7 @@ def test_regime2_root_matches_eta_bisection():
         for j in s.active_sellers:
             delivered = TR.marginal(s.e_buy[j]) + p.seller_prices[j]
             assert delivered == pytest.approx(q, rel=1e-9), p
-        eta, active = solve_eta(2, p)
-        assert (eta, active) == (s.eta, s.active_sellers)
-        assert abs(eta - reference_eta(p, generates=False)) <= 1e-9, p
+        assert abs(s.eta - reference_eta(p, generates=False)) <= 1e-9, p
         zero_eta += s.eta == 0.0
     # on the boundary with the resale regime the premium is exactly zero
     assert zero_eta >= 3
@@ -153,9 +152,7 @@ def test_regime3_generation_space_root_matches_eta_bisection():
         q = p.own_price + s.eta
         assert GEN.marginal(s.e_gen) == pytest.approx(q, rel=1e-9), p
         assert abs(s.balance_residual(p.demand)) <= 1e-9, p
-        eta, active = solve_eta(3, p)
-        assert (eta, active) == (s.eta, s.active_sellers)
-        assert abs(eta - reference_eta(p)) <= 1e-9, p
+        assert abs(s.eta - reference_eta(p)) <= 1e-9, p
         zero_eta += s.eta == 0.0
         zero_gen += s.e_gen <= 1e-8
     # on the boundary itself the premium is exactly zero
@@ -164,7 +161,7 @@ def test_regime3_generation_space_root_matches_eta_bisection():
 
 def test_regime3_solve_has_no_nested_generation_inverse(monkeypatch):
     # Regime 3 bisects generation directly; the only generation inverse is
-    # the supply at the node's own price used to classify the regime.
+    # the supply at the node's own price, used to test for a surplus.
     calls = []
     inverse = SoftCappedQuadratic.inverse_marginal
 
@@ -269,29 +266,6 @@ def test_no_sellers_high_price():
     s = solve_local(p)
     assert s.case_id == 4
     assert s.e_sell > 0.0
-
-
-def test_classify_agrees_with_solution():
-    p = problem(5.0, 40.0, {1: 30.0})
-    case_id, active, eta = classify(p)
-    s = solve_local(p)
-    assert case_id == s.case_id
-    assert active == s.active_sellers
-    assert eta == s.eta
-
-
-def test_solve_eta_only_for_buy_regimes():
-    p = problem(2.0, 40.0, {1: 30.0})
-    with pytest.raises(ValueError):
-        solve_eta(1, p)
-    eta, active = solve_eta(2, p)
-    assert eta == pytest.approx(3.0, abs=1e-9)
-    assert active == frozenset({1})
-    # purchases alone cover demand below the first-MWh generation cost, so
-    # the generate-and-buy root is the buy-only one
-    eta3, active3 = solve_eta(3, p)
-    assert eta3 == pytest.approx(eta, abs=1e-12)
-    assert active3 == active
 
 
 def test_net_expenditure_manual():

@@ -163,6 +163,22 @@ def test_unbalanced_market_converges_to_oracle_cost():
     assert trace.rounds() < scn.max_iters
 
 
+def test_fixed_suite_clears_within_its_rounds():
+    # The benchmark's fixed scenario suite, with the rounds the per-node
+    # secant step needs on it (510 in all); a step rule may only lower them.
+    suite = [
+        ("full", (8.0, 11.0, 11.0, 6.0), 248),
+        ("ring", (8.0, 11.0, 11.0, 6.0), 171),
+        ("line", (2.0, 11.0, 9.0, 6.0), 46),
+        ("full", (1.0, 3.0, 10.0, 6.0, 9.0, 4.0), 30),
+        ("ring", (9.0, 2.0, 7.0, 10.0, 1.0, 5.0), 15),
+    ]
+    for kind, demands, rounds in suite:
+        trace = run(scenario(kind, demands))
+        assert trace.converged, (kind, demands)
+        assert trace.rounds() <= rounds, (kind, demands, trace.rounds())
+
+
 def test_trace_csv_roundtrips():
     scn = scenario("line", [2.0, 10.0])
     trace = run(scn, rounds=4)

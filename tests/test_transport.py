@@ -292,6 +292,22 @@ def test_tcp_closed_peer_harmless_once_satisfied():
     assert results[0] == 9.0
 
 
+def test_tcp_failed_connect_closes_dialled_peers():
+    # node 2 dials node 0, then times out dialling node 1, which never
+    # listens; node 0 must then see its connection closed
+    addresses = mesh_addresses(3)
+    with socket.create_server(addresses[0]) as listener:
+        tr = TcpTransport(2, addresses, [0, 1], timeout=0.3)
+        with pytest.raises(TransportError, match="timeout"):
+            tr.connect()
+        listener.settimeout(1.0)
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(1.0)
+            assert conn.recv(2) == struct.pack("<H", 2)
+            assert conn.recv(1) == b""
+
+
 def test_tcp_validates_configuration():
     with pytest.raises(ValueError, match="neighbor itself"):
         TcpTransport(0, {0: ("127.0.0.1", 1)}, [0])
