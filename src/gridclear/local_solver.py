@@ -89,7 +89,6 @@ class LocalSolution:
     e_gen: float                  # MWh generated
     e_sell: float                 # MWh offered for sale
     e_buy: dict                   # seller node -> MWh bought
-    active_sellers: frozenset
     eta: float                    # $/MWh internal-price premium, 0 when unused
 
     def total_bought(self) -> float:
@@ -99,17 +98,23 @@ class LocalSolution:
         return self.e_gen - (demand + self.e_sell - self.total_bought())
 
 
-def _buy_with_exact_total(buys: dict, total: float) -> None:
+def _buy_with_exact_total(buys: dict, total: float, seller_prices: dict) -> None:
     """Nudge the purchases in place to sum exactly to total.
 
     The root for the internal price is only accurate to float resolution, so
-    the raw purchase sum can miss the target by ~1e-12 MWh; the residual is
-    absorbed by the largest purchase to make the energy balance exact.
+    the raw purchase sum can miss the target by ~1e-12 MWh; the largest
+    purchase takes what the others leave of it, which makes the energy
+    balance exact when it is the only one. A demand too small to resolve
+    (gamma'(demand) rounds to gamma'(0)) can put the root on the float jump
+    of a purchase, below which nothing is bought; the cheapest seller then
+    supplies all of it.
     """
     bought = sum(buys.values())
     if bought > 0.0:
         j_big = max(buys, key=buys.get)
-        buys[j_big] = max(0.0, buys[j_big] + (total - bought))
+        buys[j_big] = max(0.0, total - (bought - buys[j_big]))
+    else:
+        buys[min(seller_prices, key=seller_prices.get)] = total
 
 
 # Regime by which of (generate, buy, sell) are positive. A node that does
@@ -147,7 +152,7 @@ def solve_local(p: LocalProblem) -> LocalSolution:
         e_gen = own_gen if bought else demand + surplus
         return LocalSolution(p.node, _REGIMES[e_gen > 0.0, bought > 0.0,
                                               surplus > 0.0],
-                             e_gen, surplus, buys, _active(buys), 0.0)
+                             e_gen, surplus, buys, 0.0)
 
     eta = 0.0
     buy_only = False
@@ -160,8 +165,15 @@ def solve_local(p: LocalProblem) -> LocalSolution:
             buy_only = True
             hi = (min(p.seller_prices.values())
                   + p.transfer_cost.marginal(demand) - lam)
-            eta = bracketed_root(lambda e: bought_at(lam + e), demand,
-                                 0.0, hi, surplus, bought_at(lam + hi) - demand)
+            short_at_hi = bought_at(lam + hi) - demand
+            if short_at_hi < 0.0:
+                # Only rounding leaves them short there, as when
+                # gamma'(demand) rounds to gamma'(0) at a tiny demand: the
+                # root is the top itself.
+                eta = hi
+            else:
+                eta = bracketed_root(lambda e: bought_at(lam + e), demand,
+                                     0.0, hi, surplus, short_at_hi)
         else:
             # With no seller delivering below C'(demand) the node generates
             # all of it. Otherwise generation g and internal price C'(g)
@@ -175,18 +187,13 @@ def solve_local(p: LocalProblem) -> LocalSolution:
                 eta = max(0.0, gen.marginal(g) - lam)
     if eta:
         buys = buys_at(lam + eta)
-    active = _active(buys)
     e_gen = 0.0 if buy_only else demand - sum(buys.values())
     if e_gen <= 0.0:  # purchases cover demand, up to root tolerance
-        _buy_with_exact_total(buys, demand)
+        _buy_with_exact_total(buys, demand, p.seller_prices)
         e_gen = 0.0
     # Whatever of demand the node does not generate, it buys.
     return LocalSolution(p.node, _REGIMES[e_gen > 0.0, e_gen < demand, False],
-                         e_gen, 0.0, buys, active, eta)
-
-
-def _active(buys: dict) -> frozenset:
-    return frozenset(j for j, amount in buys.items() if amount > 0.0)
+                         e_gen, 0.0, buys, eta)
 
 
 def net_expenditure(p: LocalProblem, s: LocalSolution) -> float:

@@ -13,9 +13,11 @@ last two rounds when that is positive, else half its last step, clamped to
 [ALPHA_MIN, ALPHA_MAX]; the first step is alpha0. A node reads only its
 own price and mismatch for this, so the rule needs no extra message.
 
-All inter-node data flows through a transport (see transport module): the
-in-process loopback for `run`, or TCP sockets when each node is a separate
-process driving `run_agent`.
+A node's round is one routine, `TradingAgent.play_round`, and all
+inter-node data flows through the transport it is given (see transport
+module). `step` drives every node's round over the in-process loopback and
+records the trace; `run_agent` drives one node's rounds, typically over TCP
+sockets with each node in its own process.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from .cost_models import CostModel
 from .local_solver import (LocalProblem, LocalSolution, net_expenditure,
                            solve_local)
 from .topology import Topology, in_sellers, out_buyers
-from .transport import (LoopbackTransport, Message, MessageKind,
-                        ProtocolError, exchange_round)
+from .transport import LoopbackTransport, Message, MessageKind
 
 __all__ = [
     "ALPHA_MIN",
@@ -217,16 +218,30 @@ class TradingAgent:
         self.alpha = scenario.step.alpha0
         self._last_move = None      # (price, mismatch) of the last update
 
-    def price_messages(self, round_no: int):
-        return [Message(round_no, self.node, j, MessageKind.PRICE, self.price)
-                for j in self.buyers]
-
-    def take_prices(self, inbox: dict) -> None:
-        if set(inbox) != set(self.sellers):
-            raise ProtocolError(
-                f"node {self.node} expected prices from {self.sellers}, "
-                f"got {sorted(inbox)}")
+    def play_round(self, transport, k: int):
+        """Round k of this node's protocol over `transport`, as a generator
+        that yields after each of its two posts: post its price to its
+        buyers; collect its sellers' prices and solve; post its bids to its
+        sellers; collect its buyers' bids. `run_agent` runs it straight
+        through; `step` advances every node's round one phase at a time,
+        so that every node posts before any node collects."""
+        node = self.node
+        transport.post([Message(k, node, j, MessageKind.PRICE, self.price)
+                        for j in self.buyers])
+        yield
+        inbox = transport.collect(node, k, MessageKind.PRICE, self.sellers)
         self.seller_prices = {j: inbox[j].value for j in self.sellers}
+        try:
+            e_buy = self.solve().e_buy
+        except Exception as e:
+            raise RuntimeError(
+                f"local solve failed at node {node}, round {k}: {e}") from e
+        transport.post([Message(k, node, j, MessageKind.BID,
+                                float(e_buy.get(j, 0.0)))
+                        for j in self.sellers])
+        yield
+        inbox = transport.collect(node, k, MessageKind.BID, self.buyers)
+        self.received_bids = {j: inbox[j].value for j in self.buyers}
 
     def solve(self) -> LocalSolution:
         """Solve the subproblem at the current prices. When they equal the
@@ -238,20 +253,6 @@ class TradingAgent:
             self.solution = solve_local(self.problem)
             self._solved_at = prices
         return self.solution
-
-    def bid_messages(self, round_no: int):
-        if self.solution is None:
-            raise RuntimeError(f"node {self.node} has not solved this round")
-        return [Message(round_no, self.node, j, MessageKind.BID,
-                        float(self.solution.e_buy.get(j, 0.0)))
-                for j in self.sellers]
-
-    def take_bids(self, inbox: dict) -> None:
-        if set(inbox) != set(self.buyers):
-            raise ProtocolError(
-                f"node {self.node} expected bids from {self.buyers}, "
-                f"got {sorted(inbox)}")
-        self.received_bids = {j: inbox[j].value for j in self.buyers}
 
     def mismatch(self) -> float:
         """Energy requested from this node minus what it offered, MWh."""
@@ -365,24 +366,10 @@ def step(state: MarketState, scenario: Scenario) -> MarketState:
     then every node updates its own price. Appends one trace row."""
     k = state.round
     agents = state.agents
-    tr = state.transport
-
-    for a in agents:
-        tr.post(a.price_messages(k))
-    for a in agents:
-        a.take_prices(tr.collect(a.node, k, MessageKind.PRICE, a.sellers))
-
-    for a in agents:
-        try:
-            a.solve()
-        except Exception as e:
-            raise RuntimeError(
-                f"local solve failed at node {a.node}, round {k}: {e}") from e
-
-    for a in agents:
-        tr.post(a.bid_messages(k))
-    for a in agents:
-        a.take_bids(tr.collect(a.node, k, MessageKind.BID, a.buyers))
+    rounds = [a.play_round(state.transport, k) for a in agents]
+    for _ in range(3):      # price posts, collects and bid posts, bid collects
+        for r in rounds:
+            next(r, None)
 
     m = len(agents)
     bids = [[0.0] * m for _ in range(m)]
@@ -451,13 +438,8 @@ def run_agent(scenario: Scenario, node: int, rounds: int, transport) -> dict:
     history = []
     cases = []
     for k in range(rounds):
-        inbox = exchange_round(transport, node, k, MessageKind.PRICE,
-                               agent.price_messages(k), agent.sellers)
-        agent.take_prices(inbox)
-        agent.solve()
-        inbox = exchange_round(transport, node, k, MessageKind.BID,
-                               agent.bid_messages(k), agent.buyers)
-        agent.take_bids(inbox)
+        for _ in agent.play_round(transport, k):
+            pass
         history.append(agent.price)
         cases.append(agent.solution.case_id)
         agent.update_price()

@@ -2,9 +2,13 @@
 
 Each market round has two sub-phases: every node announces its selling
 price, then every node places its purchase bids (bids can only be computed
-once all prices are known). A transport carries the frames; the loopback
-keeps all agents in one process, the TCP transport gives every node its
-own process and socket endpoint.
+once all prices are known). `market.TradingAgent.play_round` is that round
+for one node; it talks to a transport through two calls, `post` (send a
+list of messages) and `collect` (block until exactly one message of the
+given round and kind has arrived from every expected sender, raising on a
+missing, unexpected, duplicate or stale one). The loopback keeps all agents
+in one process, the TCP transport gives every node its own process and
+socket endpoint.
 
 Wire format, little-endian, 21 bytes per frame:
 
@@ -30,7 +34,6 @@ __all__ = [
     "ProtocolError",
     "encode",
     "decode",
-    "exchange_round",
     "LoopbackTransport",
     "TcpTransport",
     "FRAME_SIZE",
@@ -102,23 +105,6 @@ def decode(frame: bytes) -> Message:
     if kind == MessageKind.BID and value < 0.0:
         raise ProtocolError(f"negative bid {value} from node {sender}")
     return Message(round_no, sender, receiver, kind, value)
-
-
-def exchange_round(transport, node: int, round_no: int, kind: MessageKind,
-                   outbox, senders) -> dict:
-    """One sub-phase of a round: post this node's messages, then block
-    until one `kind` message of this round has arrived from every node in
-    `senders`. Returns {sender id: Message}.
-    """
-    for m in outbox:
-        if m.round != round_no:
-            raise ProtocolError(
-                f"outbox message carries round {m.round}, current round is {round_no}")
-        if m.sender != node:
-            raise ProtocolError(
-                f"node {node} tried to send a message from {m.sender}")
-    transport.post(outbox)
-    return transport.collect(node, round_no, kind, senders)
 
 
 def _accept(msg: Message, node: int, round_no: int, kind: MessageKind,

@@ -38,7 +38,7 @@ def test_case2_buys_everything():
     # demand 2 from one seller: transfer marginal 1 + 3*4 = 13, so the
     # internal valuation sits 30 + 13 - 40 = 3 above the node's own price
     assert s.eta == pytest.approx(3.0, abs=1e-9)
-    assert s.active_sellers == frozenset({1})
+    assert {j for j, v in s.e_buy.items() if v > 0.0} == {1}
     assert verify_kkt(p, s) <= 1e-6
 
 
@@ -134,7 +134,7 @@ def test_regime2_root_matches_eta_bisection():
         assert s.case_id == 2, p
         assert abs(s.balance_residual(p.demand)) <= 1e-9, p
         q = p.own_price + s.eta
-        for j in s.active_sellers:
+        for j in (j for j, v in s.e_buy.items() if v > 0.0):
             delivered = TR.marginal(s.e_buy[j]) + p.seller_prices[j]
             assert delivered == pytest.approx(q, rel=1e-9), p
         assert abs(s.eta - reference_eta(p, generates=False)) <= 1e-9, p
@@ -248,10 +248,22 @@ def test_only_cheap_sellers_activate():
     p = problem(1.0, 50.0, {1: 30.0, 2: 48.0, 3: 60.0})
     s = solve_local(p)
     assert s.case_id == 5
-    assert s.active_sellers == frozenset({1, 2})
+    assert {j for j, v in s.e_buy.items() if v > 0.0} == {1, 2}
     assert s.e_buy[1] == pytest.approx(TR.inverse_marginal(20.0), abs=1e-9)
     assert s.e_buy[2] == pytest.approx(TR.inverse_marginal(2.0), abs=1e-9)
     assert s.e_buy[3] == 0.0
+
+
+def test_tiny_demand_bought_whole_from_cheapest_seller():
+    # gamma'(demand) = 1 + 3 demand^2 rounds to gamma'(0) below ~1e-8 MWh, so
+    # the first purchase is a float jump at the cheapest seller's edge
+    for demand in (1e-7, 1e-8, 1e-9, 1e-12, 1e-15):
+        p = problem(demand, 10.0, {1: 20.0, 2: 25.0})
+        s = solve_local(p)
+        assert s.case_id == 2, demand
+        assert sum(s.e_buy.values()) == demand
+        assert s.e_buy[2] == 0.0
+        assert verify_kkt(p, s) <= 1e-9, demand
 
 
 def test_no_sellers_low_price():
@@ -278,7 +290,7 @@ def test_net_expenditure_manual():
 
 def test_net_expenditure_rejects_imbalance():
     p = problem(5.0, 50.0, {1: 65.0})
-    bad = LocalSolution(0, 1, 4.0, 0.0, {1: 0.0}, frozenset(), 0.0)
+    bad = LocalSolution(0, 1, 4.0, 0.0, {1: 0.0}, 0.0)
     with pytest.raises(ValueError, match="balance"):
         net_expenditure(p, bad)
 
@@ -293,7 +305,7 @@ def test_net_expenditure_accepts_solutions_at_extreme_prices():
         assert math.isfinite(net_expenditure(p, s))
     # at everyday volumes the balance tolerance is still 1e-6 MWh
     p = problem(5.0, 50.0, {1: 65.0})
-    off = LocalSolution(0, 1, 5.0 + 2e-6, 0.0, {1: 0.0}, frozenset(), 0.0)
+    off = LocalSolution(0, 1, 5.0 + 2e-6, 0.0, {1: 0.0}, 0.0)
     with pytest.raises(ValueError, match="balance"):
         net_expenditure(p, off)
 

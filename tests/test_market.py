@@ -7,13 +7,12 @@ import pytest
 
 from gridclear import market, topology
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
-                                   DEFAULT_TRANSFER_COST)
+                                   DEFAULT_TRANSFER_COST, SoftCappedQuadratic)
 from gridclear.local_solver import LocalProblem, net_expenditure, solve_local
 from gridclear.market import (ALPHA_MAX, ALPHA_MIN, Scenario, StepSchedule,
                               TradingAgent, dual_value, feasibilize_and_cost,
                               local_problem, run, run_agent, secant_step)
-from gridclear.transport import (LoopbackTransport, Message, MessageKind,
-                                 ProtocolError)
+from gridclear.transport import LoopbackTransport, TransportError
 
 GEN = DEFAULT_GENERATION_COST
 TR = DEFAULT_TRANSFER_COST
@@ -251,12 +250,55 @@ def test_dual_lies_below_every_subgradient_plane():
 
 
 def test_agent_rejects_wrong_sender_set():
+    # node 0 buys from node 1, which never posts: the round cannot go on
     scn = scenario("line", [2.0, 10.0])
     agent = TradingAgent(0, scn)
-    with pytest.raises(ProtocolError):
-        agent.take_prices({})
-    with pytest.raises(RuntimeError):
-        agent.bid_messages(0)
+    tr = LoopbackTransport(2)
+    with pytest.raises(TransportError, match=r"no PRICE from \[1\]"):
+        for _ in agent.play_round(tr, 0):
+            pass
+    assert agent.solution is None
+
+
+def test_tiny_demand_market_clears():
+    # node 0 buys 1e-9 MWh from a cheap neighbor, below where the transfer
+    # marginal resolves its demand
+    scn = Scenario(topology=topology.build("line", 2), demands=(1e-9, 5.0),
+                   gen_costs=(GEN, SoftCappedQuadratic(a=10.0, b=20.0, c=0.3,
+                                                       e_max=10.0)),
+                   transfer_cost=TR)
+    trace = run(scn)
+    assert trace.converged
+    assert trace.final_cases[0] == 2
+
+
+def failing_solve(monkeypatch, fails):
+    solve = market.solve_local
+
+    def solve_or_fail(p):
+        if fails(p):
+            raise ValueError("no root")
+        return solve(p)
+
+    monkeypatch.setattr(market, "solve_local", solve_or_fail)
+
+
+def test_solve_failure_names_node_and_round(monkeypatch):
+    # loopback: three good rounds, then node 2's solve fails
+    scn = scenario("full", [8.0, 11.0, 11.0, 6.0])
+    state = market.new_state(scn)
+    for _ in range(3):
+        market.step(state, scn)
+    failing_solve(monkeypatch, lambda p: p.node == 2)
+    with pytest.raises(RuntimeError,
+                       match="local solve failed at node 2, round 3: no root"):
+        market.step(state, scn)
+    # one agent over its own transport
+    failing_solve(monkeypatch, lambda p: True)
+    scn = scenario("full", [4.0])
+    with pytest.raises(RuntimeError,
+                       match="local solve failed at node 0, round 0: no root"):
+        run_agent(scn, 0, 5, LoopbackTransport(1))
 
 
 def test_agent_price_floor_at_zero():
@@ -291,8 +333,7 @@ def test_agent_solves_once_per_distinct_prices(monkeypatch):
 
     def solve_at(own, p0, p2):
         agent.price = own
-        agent.take_prices({j: Message(0, j, 1, MessageKind.PRICE, v)
-                           for j, v in ((0, p0), (2, p2))})
+        agent.seller_prices = {0: p0, 2: p2}
         return agent.solve()
 
     first = solve_at(60.0, 58.0, 62.0)

@@ -5,10 +5,13 @@ import time
 
 import pytest
 
+from gridclear import market, topology
+from gridclear.cost_models import (DEFAULT_GENERATION_COST,
+                                   DEFAULT_TRANSFER_COST)
 from gridclear.transport import (DEFAULT_TIMEOUT, FRAME_SIZE,
                                  LoopbackTransport, Message, MessageKind,
                                  ProtocolError, TcpTransport, TransportError,
-                                 decode, encode, exchange_round)
+                                 decode, encode)
 
 
 def free_ports(n):
@@ -126,16 +129,6 @@ def test_loopback_rejects_protocol_violations():
         tr.post([Message(0, 0, 5, MessageKind.PRICE, 50.0)])
 
 
-def test_exchange_round_validates_outbox():
-    tr = LoopbackTransport(2)
-    with pytest.raises(ProtocolError, match="round"):
-        exchange_round(tr, 0, 1, MessageKind.PRICE,
-                       [Message(0, 0, 1, MessageKind.PRICE, 3.0)], set())
-    with pytest.raises(ProtocolError, match="from"):
-        exchange_round(tr, 0, 0, MessageKind.PRICE,
-                       [Message(0, 1, 0, MessageKind.PRICE, 3.0)], set())
-
-
 # -- sockets ------------------------------------------------------------------
 
 def run_mesh(addresses, neighbors_of, fn, timeout=5.0):
@@ -171,8 +164,8 @@ def test_tcp_pair_exchanges_rounds():
         peer = 1 - node
         values = []
         for k in range(3):
-            out = [Message(k, node, peer, MessageKind.PRICE, 10.0 * node + k)]
-            inbox = exchange_round(tr, node, k, MessageKind.PRICE, out, {peer})
+            tr.post([Message(k, node, peer, MessageKind.PRICE, 10.0 * node + k)])
+            inbox = tr.collect(node, k, MessageKind.PRICE, {peer})
             values.append(inbox[peer].value)
         return values
 
@@ -187,10 +180,10 @@ def test_tcp_full_mesh_price_and_bid_phases():
 
     def fn(node, tr):
         peers = neighbors[node]
-        out = [Message(0, node, j, MessageKind.PRICE, 50.0 + node) for j in peers]
-        prices = exchange_round(tr, node, 0, MessageKind.PRICE, out, peers)
-        out = [Message(0, node, j, MessageKind.BID, float(node)) for j in peers]
-        bids = exchange_round(tr, node, 0, MessageKind.BID, out, peers)
+        tr.post([Message(0, node, j, MessageKind.PRICE, 50.0 + node) for j in peers])
+        prices = tr.collect(node, 0, MessageKind.PRICE, peers)
+        tr.post([Message(0, node, j, MessageKind.BID, float(node)) for j in peers])
+        bids = tr.collect(node, 0, MessageKind.BID, peers)
         return ({j: m.value for j, m in prices.items()},
                 {j: m.value for j, m in bids.items()})
 
@@ -313,3 +306,24 @@ def test_tcp_validates_configuration():
         TcpTransport(0, {0: ("127.0.0.1", 1)}, [0])
     with pytest.raises(ValueError, match="no address"):
         TcpTransport(0, {0: ("127.0.0.1", 1)}, [1])
+
+
+def test_tcp_agents_match_loopback_every_round():
+    # Each node runs run_agent in its own thread over real sockets; every
+    # round's price and regime must equal the loopback trace's, bit for bit.
+    demands = (9.0, 2.0, 7.0, 10.0, 1.0, 5.0)
+    m, rounds = len(demands), 40
+    scn = market.Scenario(topology=topology.build("ring", m), demands=demands,
+                          gen_costs=(DEFAULT_GENERATION_COST,) * m,
+                          transfer_cost=DEFAULT_TRANSFER_COST)
+    adj = scn.topology.adj
+    neighbors = {i: [j for j in range(m) if j != i and (adj[i][j] or adj[j][i])]
+                 for i in range(m)}
+
+    results = run_mesh(mesh_addresses(m), neighbors,
+                       lambda node, tr: market.run_agent(scn, node, rounds, tr))
+
+    trace = market.run(scn, rounds=rounds)
+    for i in range(m):
+        assert results[i]["price_history"] == [row[i] for row in trace.prices]
+        assert results[i]["case_history"] == [row[i] for row in trace.cases]
