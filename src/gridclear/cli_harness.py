@@ -23,6 +23,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from .cost_models import (DEFAULT_GENERATION_COST, DEFAULT_TRANSFER_COST,
 from .local_solver import net_expenditure
 from .market import Scenario, StepSchedule, run, run_agent, solve_all
 from .oracle import solve_global_numeric
-from .topology import Topology, in_sellers, out_buyers
+from .topology import Topology
 from .transport import TcpTransport
 
 __all__ = ["ExperimentSpec", "ConfigError", "parse_config", "main"]
@@ -331,11 +332,12 @@ def _run_tcp(spec: ExperimentSpec, config_path: str, rounds, out: Path) -> int:
                 [sys.executable, "-m", "gridclear.cli_harness", "agent",
                  "--config", config_path, "--id", str(i),
                  "--rounds", str(rounds), "--out", str(out)]))
-        timeout = max(120.0, 0.1 * rounds)
+        # One deadline for the whole mesh, however many agents hang.
+        deadline = time.monotonic() + max(120.0, 0.1 * rounds)
         failed = []
         for i, p in enumerate(procs):
             try:
-                if p.wait(timeout=timeout) != 0:
+                if p.wait(timeout=max(0.0, deadline - time.monotonic())) != 0:
                     failed.append(i)
             except subprocess.TimeoutExpired:
                 failed.append(i)
@@ -345,6 +347,7 @@ def _run_tcp(spec: ExperimentSpec, config_path: str, rounds, out: Path) -> int:
         for p in procs:
             if p.poll() is None:
                 p.kill()
+            p.wait()
     results = []
     for i in range(m):
         results.append(json.loads((out / f"agent_{i}.json").read_text()))
@@ -376,7 +379,7 @@ def _cmd_agent(args) -> int:
     if spec.agents is None:
         raise ConfigError("config.agents: required for agent mode")
     top = spec.scenario.topology
-    neighbors = sorted(in_sellers(top, node) | out_buyers(top, node))
+    neighbors = sorted({*top.sellers[node], *top.buyers[node]})
     for peer in [node] + neighbors:
         if peer not in spec.agents:
             raise ConfigError(f"config.agents: no address for node {peer}")

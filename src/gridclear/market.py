@@ -23,14 +23,14 @@ sockets with each node in its own process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .cost_models import CostModel
 from .local_solver import (LocalProblem, LocalSolution, net_expenditure,
                            solve_local)
-from .topology import Topology, in_sellers, out_buyers
+from .topology import Topology
 from .transport import LoopbackTransport, Message, MessageKind
 
 __all__ = [
@@ -125,7 +125,9 @@ class IterationTrace:
     Row k holds the prices the nodes used during round k together with
     everything computed from them; the price update happens after the row
     is recorded, so the last row is self-consistent at convergence. Bids
-    are kept for the last row only.
+    are kept for the last row only, as a read-only copy of the array
+    `append` was given; `final_bids` turns it into nested tuples of floats
+    when read.
     """
 
     m: int
@@ -136,8 +138,9 @@ class IterationTrace:
     primals: list = field(default_factory=list)       # $
     gaps: list = field(default_factory=list)          # $, primal - best dual
     cases: list = field(default_factory=list)         # tuple of case ids
-    final_bids: tuple = ()                            # M×M, row = seller
     converged: bool = False
+    _bids: np.ndarray | None = field(default=None, init=False, repr=False,
+                                     compare=False)   # M×M, row = seller
 
     def rounds(self) -> int:
         return len(self.prices)
@@ -150,10 +153,28 @@ class IterationTrace:
     def final_cases(self):
         return self.cases[-1]
 
+    @property
+    def final_bids(self) -> tuple:
+        """Bid matrix of the last row as M×M nested tuples of floats
+        (row = seller); () before the first row."""
+        if self._bids is None:
+            return ()
+        return tuple(tuple(row) for row in self._bids.tolist())
+
+    def __eq__(self, other):
+        """Field by field like the generated comparison, the last bids by
+        value."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (all(getattr(self, f.name) == getattr(other, f.name)
+                    for f in fields(self) if f.compare)
+                and self.final_bids == other.final_bids)
+
     def append(self, prices, bids, subgrad, dual, primal, cases) -> None:
         best = max(self.best_duals[-1], dual) if self.best_duals else dual
         self.prices.append(tuple(float(x) for x in prices))
-        self.final_bids = tuple(tuple(float(x) for x in row) for row in bids)
+        self._bids = np.array(bids, dtype=float)
+        self._bids.flags.writeable = False
         self.subgradients.append(tuple(float(x) for x in subgrad))
         self.duals.append(float(dual))
         self.best_duals.append(float(best))
@@ -203,11 +224,11 @@ class TradingAgent:
     """
 
     def __init__(self, node: int, scenario: Scenario):
-        self.node = node
-        self.scenario = scenario
         top = scenario.topology
-        self.sellers = sorted(in_sellers(top, node))   # nodes this one may buy from
-        self.buyers = sorted(out_buyers(top, node))    # nodes that may buy from this one
+        self.node = top.check_node(node)
+        self.scenario = scenario
+        self.sellers = top.sellers[node]   # nodes this one may buy from
+        self.buyers = top.buyers[node]     # nodes that may buy from this one
         # standalone marginal cost at its own demand
         self.price = float(scenario.gen_costs[node].marginal(scenario.demands[node]))
         self.seller_prices = {}
@@ -284,12 +305,13 @@ def local_problem(scenario: Scenario, node: int, prices) -> LocalProblem:
     Only the node's own price and its sellers' prices are read, so a
     mapping holding just those is enough.
     """
+    top = scenario.topology
+    top.check_node(node)
     return LocalProblem(
         node=node, demand=scenario.demands[node],
         gen_cost=scenario.gen_costs[node],
         transfer_cost=scenario.transfer_cost,
-        seller_prices={j: float(prices[j])
-                       for j in sorted(in_sellers(scenario.topology, node))},
+        seller_prices={j: float(prices[j]) for j in top.sellers[node]},
         own_price=float(prices[node]))
 
 
@@ -315,7 +337,11 @@ def feasibilize_and_cost(bids, scenario: Scenario):
 
     Trades are taken verbatim (row = seller); each node then generates
     whatever its demand plus outgoing trades still require, floored at
-    zero. Returns the total cost in $.
+    zero. Returns the total cost in $: generation node by node, then
+    transfers in row-major edge order.
+
+    Raises ValueError on a non-finite bid, else on the first bid in
+    row-major order that is negative or lies on a missing edge.
     """
     top = scenario.topology
     m = top.m
@@ -326,20 +352,23 @@ def feasibilize_and_cost(bids, scenario: Scenario):
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
         raise ValueError(f"non-finite bid {B[i][j]} at [{i}][{j}]")
-    for i in range(m):
-        for j in range(m):
-            if B[i][j] < 0.0:
-                raise ValueError(f"negative bid {B[i][j]} at [{i}][{j}]")
-            if B[i][j] != 0.0 and not top.adj[i][j]:
-                raise ValueError(f"bid on missing edge {i}->{j}")
+    sellers, buyers = top.edge_index
+    off_edge = B != 0.0
+    off_edge[sellers, buyers] = False
+    bad = off_edge | (B < 0.0)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        if B[i][j] < 0.0:
+            raise ValueError(f"negative bid {B[i][j]} at [{i}][{j}]")
+        raise ValueError(f"bid on missing edge {i}->{j}")
     sold = B.sum(axis=1)
     bought = B.sum(axis=0)
     cost = 0.0
     for i in range(m):
         g = max(0.0, scenario.demands[i] + sold[i] - bought[i])
         cost += scenario.gen_costs[i].value(g)
-    for i, j in top.edges():
-        cost += scenario.transfer_cost.value(B[i][j])
+    for c in scenario.transfer_cost.value(B[sellers, buyers]).tolist():
+        cost += c
     return float(cost)
 
 
@@ -372,10 +401,10 @@ def step(state: MarketState, scenario: Scenario) -> MarketState:
             next(r, None)
 
     m = len(agents)
-    bids = [[0.0] * m for _ in range(m)]
+    bids = np.zeros((m, m))
     for j, a in enumerate(agents):
         for i, amount in a.solution.e_buy.items():
-            bids[i][j] = float(amount)
+            bids[i, j] = amount
     prices = [a.price for a in agents]
     sg = [a.mismatch() for a in agents]
     dual = 0.0
@@ -430,8 +459,6 @@ def run_agent(scenario: Scenario, node: int, rounds: int, transport) -> dict:
     node's price history (the price used in each round, matching the trace
     rows of a loopback run) and its final post-update price.
     """
-    if not 0 <= node < scenario.topology.m:
-        raise ValueError(f"no node {node} in a {scenario.topology.m}-node scenario")
     if rounds < 1:
         raise ValueError(f"rounds must be at least 1, got {rounds}")
     agent = TradingAgent(node, scenario)

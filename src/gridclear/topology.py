@@ -8,6 +8,9 @@ the three canonical builders (full, ring, line) produce symmetric graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = ["Topology", "build", "from_adjacency", "in_sellers", "out_buyers"]
 
@@ -28,14 +31,43 @@ class Topology:
             if self.adj[i][i]:
                 raise ValueError(f"self-edges are not allowed (diagonal entry {i})")
 
+    # Neighbor lists and the edge index are computed on first use and kept:
+    # a market reads them every round. The public accessors hand out copies.
+
+    @cached_property
+    def sellers(self) -> tuple:
+        """sellers[i]: ascending ids of the nodes that may sell to node i."""
+        return tuple(tuple(j for j in range(self.m) if self.adj[j][i])
+                     for i in range(self.m))
+
+    @cached_property
+    def buyers(self) -> tuple:
+        """buyers[i]: ascending ids of the nodes that node i may sell to."""
+        return tuple(tuple(j for j in range(self.m) if self.adj[i][j])
+                     for i in range(self.m))
+
+    @cached_property
+    def edge_index(self) -> tuple:
+        """The edges as two read-only index arrays (sellers, buyers), in
+        row-major order, for fancy-indexing an M×M matrix."""
+        sellers = np.repeat(np.arange(self.m, dtype=np.intp),
+                            [len(row) for row in self.buyers])
+        buyers = np.array([j for row in self.buyers for j in row], dtype=np.intp)
+        sellers.flags.writeable = buyers.flags.writeable = False
+        return sellers, buyers
+
+    def check_node(self, i: int) -> int:
+        """Return node id i, or raise ValueError if there is no such node."""
+        if not 0 <= i < self.m:
+            raise ValueError(f"node {i} out of range for m={self.m}")
+        return i
+
     def edge_count(self) -> int:
-        return sum(sum(1 for v in row if v) for row in self.adj)
+        return sum(len(row) for row in self.buyers)
 
     def edges(self):
-        """All directed (seller, buyer) pairs."""
-        return [
-            (i, j) for i in range(self.m) for j in range(self.m) if self.adj[i][j]
-        ]
+        """All directed (seller, buyer) pairs, row-major."""
+        return [(i, j) for i, row in enumerate(self.buyers) for j in row]
 
 
 def build(kind: str, m: int) -> Topology:
@@ -66,13 +98,9 @@ def from_adjacency(rows) -> Topology:
 
 def in_sellers(t: Topology, i: int) -> set:
     """Nodes that may sell to node i (their prices are the ones i sees)."""
-    if not 0 <= i < t.m:
-        raise ValueError(f"node {i} out of range for m={t.m}")
-    return {j for j in range(t.m) if t.adj[j][i]}
+    return set(t.sellers[t.check_node(i)])
 
 
 def out_buyers(t: Topology, i: int) -> set:
     """Nodes that node i may sell to."""
-    if not 0 <= i < t.m:
-        raise ValueError(f"node {i} out of range for m={t.m}")
-    return {j for j in range(t.m) if t.adj[i][j]}
+    return set(t.buyers[t.check_node(i)])

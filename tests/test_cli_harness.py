@@ -1,10 +1,13 @@
 import json
 import re
 import socket
+import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from gridclear import cli_harness
 from gridclear.cli_harness import (_TOP_LEVEL_KEYS, ConfigError, main,
                                    parse_config, parse_values)
 from gridclear.cost_models import DEFAULT_GENERATION_COST
@@ -249,6 +252,49 @@ def test_tcp_run_needs_agents_and_rounds(tmp_path):
                    {"id": 1, "addr": "127.0.0.1:9002"}]}, name="agents.json")
     assert main(["run", "--config", cfg, "--transport", "tcp",
                  "--out", str(tmp_path / "o")]) == 2
+
+
+def test_tcp_run_shares_one_deadline_and_reaps_hung_agents(tmp_path, monkeypatch,
+                                                          capsys):
+    # Agent processes that never exit: the waits share one deadline rather
+    # than a full timeout each, and every killed agent is waited for.
+    clock = [0.0]
+    procs = []
+
+    class HungAgent:
+        def __init__(self, argv):
+            self.killed = False
+            self.timeouts = []
+            self.reaped = False
+            procs.append(self)
+
+        def wait(self, timeout=None):
+            if self.killed:
+                self.reaped = True
+                return -9
+            self.timeouts.append(timeout)
+            clock[0] += timeout
+            raise subprocess.TimeoutExpired("agent", timeout)
+
+        def poll(self):
+            return -9 if self.killed else None
+
+        def kill(self):
+            self.killed = True
+
+    monkeypatch.setattr(cli_harness.subprocess, "Popen", HungAgent)
+    monkeypatch.setattr(cli_harness, "time",
+                        SimpleNamespace(monotonic=lambda: clock[0]))
+    cfg = config_file(tmp_path, {
+        "demands": [7, 7, 7, 7], "rounds": 5,
+        "agents": [{"id": i, "addr": f"127.0.0.1:{9001 + i}"}
+                   for i in range(4)]})
+    assert main(["run", "--config", cfg, "--transport", "tcp",
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "timed out: [0, 1, 2, 3]" in capsys.readouterr().err
+    assert len(procs) == 4
+    assert sum(t for p in procs for t in p.timeouts) <= 120.0
+    assert all(p.killed and p.reaped for p in procs)
 
 
 def test_tcp_run_matches_loopback(tmp_path):

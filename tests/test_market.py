@@ -11,7 +11,8 @@ from gridclear.cost_models import (DEFAULT_GENERATION_COST,
 from gridclear.local_solver import LocalProblem, net_expenditure, solve_local
 from gridclear.market import (ALPHA_MAX, ALPHA_MIN, Scenario, StepSchedule,
                               TradingAgent, dual_value, feasibilize_and_cost,
-                              local_problem, run, run_agent, secant_step)
+                              local_problem, run, run_agent, secant_step,
+                              solve_all)
 from gridclear.transport import LoopbackTransport, TransportError
 
 GEN = DEFAULT_GENERATION_COST
@@ -136,6 +137,15 @@ def test_subgradient_matches_resolved_solutions():
         assert requested - solutions[i].e_sell == trace.subgradients[0][i]
 
 
+def test_node_ids_out_of_range_are_rejected():
+    scn = scenario("line", [2.0, 6.0, 10.0])
+    for node in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            TradingAgent(node, scn)
+        with pytest.raises(ValueError, match="out of range"):
+            local_problem(scn, node, [50.0, 50.0, 50.0, 50.0])
+
+
 def test_local_problem_reads_only_own_and_seller_prices():
     scn = scenario("line", [2.0, 6.0, 10.0])
     # node 0 buys only from node 1: prices of nodes 0 and 1 are all it needs
@@ -223,6 +233,99 @@ def test_feasibilize_rejects_bad_bids():
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite bid"):
             feasibilize_and_cost([[0.0, bad], [0.0, 0.0]], scn)
+
+
+def test_feasibilize_reports_the_first_bad_bid_in_row_major_order():
+    # [0][2] (no edge 0->2 in a line) comes before the negative [1][0]
+    scn = scenario("line", [2.0, 6.0, 10.0])
+    bids = [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"bid on missing edge 0->2"):
+        feasibilize_and_cost(bids, scn)
+    bids[0][2] = 0.0
+    with pytest.raises(ValueError, match=r"negative bid -1\.0 at \[1\]\[0\]"):
+        feasibilize_and_cost(bids, scn)
+
+
+def reference_cost(bids, scn):
+    """feasibilize_and_cost as a plain loop over every cell: generation
+    node by node, then each edge's transfer in row-major order."""
+    adj, m = scn.topology.adj, scn.topology.m
+    B = np.asarray(bids, dtype=float)
+    sold, bought = B.sum(axis=1), B.sum(axis=0)
+    cost = 0.0
+    for i in range(m):
+        cost += scn.gen_costs[i].value(
+            max(0.0, scn.demands[i] + sold[i] - bought[i]))
+    for i in range(m):
+        for j in range(m):
+            if adj[i][j]:
+                cost += scn.transfer_cost.value(B[i][j])
+    return float(cost)
+
+
+def test_feasibilize_matches_a_cell_by_cell_loop():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        m = int(rng.integers(1, 9))
+        adj = rng.random((m, m)) < 0.6
+        np.fill_diagonal(adj, False)
+        bids = np.where(adj & (rng.random((m, m)) < 0.7),
+                        rng.uniform(0.0, 6.0, size=(m, m)), 0.0)
+        scn = Scenario(topology=topology.from_adjacency(adj.tolist()),
+                       demands=tuple(rng.uniform(0.0, 13.0, size=m)),
+                       gen_costs=(GEN,) * m, transfer_cost=TR)
+        assert feasibilize_and_cost(bids, scn) == reference_cost(bids, scn)
+        assert feasibilize_and_cost(bids.tolist(), scn) == reference_cost(bids, scn)
+
+
+def test_final_bids_are_nested_tuples_of_floats():
+    scn = scenario("ring", [2.0, 6.0, 10.0, 4.0])
+    trace = run(scn, rounds=5)
+    bids = trace.final_bids
+    assert type(bids) is tuple and len(bids) == 4
+    assert all(type(row) is tuple and len(row) == 4 for row in bids)
+    assert all(type(x) is float for row in bids for x in row)
+    assert any(x > 0.0 for row in bids for x in row)
+    assert market.IterationTrace(4).final_bids == ()
+
+
+def test_trace_keeps_its_own_bids_and_compares_them():
+    def record(bids):
+        trace = market.IterationTrace(2)
+        trace.append([1.0, 2.0], bids, [0.0, 0.0], 3.0, 4.0, (1, 1))
+        return trace
+
+    bids = np.array([[0.0, 0.5], [0.25, 0.0]])
+    trace = record(bids)
+    bids[0, 1] = 9.0                # the caller reuses its buffer
+    assert trace.final_bids == ((0.0, 0.5), (0.25, 0.0))
+    assert trace == record([[0.0, 0.5], [0.25, 0.0]])
+    assert trace != record([[0.0, 0.5], [0.125, 0.0]])
+    assert trace != record([[0.0, 0.5], [0.25, 0.0]]).__dict__
+
+
+def test_large_sparse_market_rows_match_whole_market_views():
+    # A 400-node ring and a 30-node random digraph: every row's dual is the
+    # dual function at that row's prices, and its primal is the cost of the
+    # bids every node makes at those prices, both exactly.
+    rng = np.random.default_rng(3)
+    ring = scenario("ring", rng.uniform(1.0, 11.0, size=400).tolist())
+    adj = rng.random((30, 30)) < 0.1
+    np.fill_diagonal(adj, False)
+    digraph = Scenario(topology=topology.from_adjacency(adj.tolist()),
+                       demands=tuple(rng.uniform(1.0, 11.0, size=30)),
+                       gen_costs=(GEN,) * 30, transfer_cost=TR)
+    for scn in (ring, digraph):
+        m = scn.topology.m
+        trace = run(scn, rounds=3)
+        for k in range(3):
+            lam = trace.prices[k]
+            assert trace.duals[k] == dual_value(lam, scn), (m, k)
+            bids = np.zeros((m, m))
+            for j, (_, sol) in enumerate(solve_all(lam, scn)):
+                for i, amount in sol.e_buy.items():
+                    bids[i, j] = amount
+            assert trace.primals[k] == feasibilize_and_cost(bids, scn), (m, k)
 
 
 def test_dual_never_exceeds_optimal_cost():
@@ -355,8 +458,11 @@ def test_agent_solves_once_per_distinct_prices(monkeypatch):
 
 
 def trace_digest(trace) -> str:
+    # The last bids are hashed as `final_bids`, whose floats print exactly;
+    # the stored array's repr would round them.
     h = hashlib.sha256()
-    for name, value in sorted(vars(trace).items()):
+    recorded = dict(vars(trace), _bids=trace.final_bids)
+    for name, value in sorted(recorded.items()):
         h.update(repr((name, value)).encode())
     return h.hexdigest()
 

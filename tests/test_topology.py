@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gridclear.topology import (Topology, build, from_adjacency, in_sellers,
@@ -78,3 +79,38 @@ def test_node_out_of_range():
         in_sellers(t, 3)
     with pytest.raises(ValueError, match="out of range"):
         out_buyers(t, -1)
+
+
+def random_digraphs():
+    """50 random directed adjacencies of 1-12 nodes, mostly asymmetric."""
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        m = int(rng.integers(1, 13))
+        rows = rng.random((m, m)) < rng.uniform(0.1, 0.9)
+        np.fill_diagonal(rows, False)
+        yield from_adjacency(rows.tolist())
+
+
+def test_cached_neighbors_match_a_scan():
+    for t in random_digraphs():
+        m = t.m
+        for i in range(m):
+            assert in_sellers(t, i) == {j for j in range(m) if t.adj[j][i]}
+            assert out_buyers(t, i) == {j for j in range(m) if t.adj[i][j]}
+            assert t.sellers[i] == tuple(sorted(in_sellers(t, i)))
+            assert t.buyers[i] == tuple(sorted(out_buyers(t, i)))
+        scan = [(i, j) for i in range(m) for j in range(m) if t.adj[i][j]]
+        assert t.edges() == scan      # row-major order
+        assert t.edge_count() == len(scan)
+        sellers, buyers = t.edge_index
+        assert list(zip(sellers.tolist(), buyers.tolist())) == scan
+
+
+def test_accessors_return_fresh_copies():
+    t = build("ring", 5)
+    in_sellers(t, 0).add(2)
+    out_buyers(t, 0).clear()
+    t.edges().append((0, 2))
+    assert in_sellers(t, 0) == {1, 4}
+    assert out_buyers(t, 0) == {1, 4}
+    assert (0, 2) not in t.edges() and len(t.edges()) == 10

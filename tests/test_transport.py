@@ -129,6 +129,51 @@ def test_loopback_rejects_protocol_violations():
         tr.post([Message(0, 0, 5, MessageKind.PRICE, 50.0)])
 
 
+@pytest.mark.parametrize("msg, match", [
+    (Message(0, 0, 1, MessageKind.PRICE, float("nan")), "non-finite"),
+    (Message(0, 0, 1, MessageKind.PRICE, float("inf")), "non-finite"),
+    (Message(0, 0, 1, MessageKind.BID, -0.5), "negative bid"),
+    (Message(2**32, 0, 1, MessageKind.PRICE, 1.0), "u32"),
+    (Message(0, 2**16, 1, MessageKind.PRICE, 1.0), "u16"),
+    (Message(0, 0, 1, 3, 1.0), "kind"),
+])
+def test_loopback_applies_the_encoder_checks(msg, match):
+    # The loopback files message objects without encoding them, but it
+    # refuses every message encode would refuse, and files nothing.
+    tr = LoopbackTransport(2)
+    with pytest.raises(ValueError, match=match):
+        tr.post([msg])
+    with pytest.raises(TransportError, match="no PRICE"):
+        tr.collect(1, 0, MessageKind.PRICE, {0})
+
+
+@pytest.mark.parametrize("msg", [
+    Message(1.5, 0, 1, MessageKind.PRICE, 1.0),
+    Message(0, 0.0, 1, MessageKind.PRICE, 1.0),
+    Message(0, 0, 1.5, MessageKind.PRICE, 1.0),
+])
+def test_non_integer_round_or_id_is_refused(msg):
+    # struct would refuse these fields, so the loopback must too
+    with pytest.raises(TypeError):
+        encode(msg)
+    with pytest.raises(TypeError):
+        LoopbackTransport(2).post([msg])
+
+
+def test_loopback_rejects_unknown_receiver():
+    tr = LoopbackTransport(2)
+    for receiver in (2, -1):
+        with pytest.raises(TransportError, match="no such node"):
+            tr.post([Message(0, 0, receiver, MessageKind.PRICE, 50.0)])
+
+
+def test_loopback_files_the_posted_message():
+    tr = LoopbackTransport(2)
+    msg = Message(3, 1, 0, MessageKind.BID, 0.25)
+    tr.post([msg])
+    assert tr.collect(0, 3, MessageKind.BID, {1})[1] is msg
+
+
 # -- sockets ------------------------------------------------------------------
 
 def run_mesh(addresses, neighbors_of, fn, timeout=5.0):
