@@ -31,7 +31,7 @@ from . import topology
 from .cost_models import (DEFAULT_GENERATION_COST, DEFAULT_TRANSFER_COST,
                           CubicTransfer, SoftCappedQuadratic)
 from .local_solver import net_expenditure
-from .market import Scenario, StepSchedule, run, run_agent, solve_all
+from .market import Scenario, run, run_agent, solve_all
 from .oracle import solve_global_numeric
 from .topology import Topology
 from .transport import TcpTransport
@@ -170,7 +170,7 @@ def parse_config(text: str) -> ExperimentSpec:
     """Parse a JSON config document into a fully validated ExperimentSpec.
 
     Only demands is required; everything else defaults (full topology,
-    default cost curves, default step schedule and tolerances).
+    default cost curves, default first price step and tolerances).
     """
     try:
         doc = json.loads(text)
@@ -219,26 +219,20 @@ def parse_config(text: str) -> ExperimentSpec:
     transfer = (_transfer_from(doc["transfer_cost"], "config.transfer_cost")
                 if "transfer_cost" in doc else DEFAULT_TRANSFER_COST)
 
-    if "step" in doc:
-        obj = _as_object(doc["step"], "config.step", _STEP_KEYS)
-        try:
-            step = StepSchedule(
-                alpha0=_as_float(obj.get("alpha0", StepSchedule.alpha0),
-                                 "config.step.alpha0"))
-        except ValueError as e:
-            raise ConfigError(f"config.step: {e}") from None
-    else:
-        step = StepSchedule()
-
+    # Scenario holds the defaults and the range rules of these fields.
     kwargs = {}
-    for key, default in (("tol_gap", 1e-4), ("tol_mismatch", 1e-3)):
-        kwargs[key] = (_as_float(doc[key], f"config.{key}")
-                       if key in doc else default)
-    max_iters = _as_int(doc.get("max_iters", 20000), "config.max_iters")
+    step = _as_object(doc.get("step", {}), "config.step", _STEP_KEYS)
+    if "alpha0" in step:
+        kwargs["alpha0"] = _as_float(step["alpha0"], "config.step.alpha0")
+    for key in ("tol_gap", "tol_mismatch"):
+        if key in doc:
+            kwargs[key] = _as_float(doc[key], f"config.{key}")
+    if "max_iters" in doc:
+        kwargs["max_iters"] = _as_int(doc["max_iters"], "config.max_iters")
     try:
         scenario = Scenario(topology=top, demands=tuple(demands),
                             gen_costs=gen_costs, transfer_cost=transfer,
-                            step=step, max_iters=max_iters, **kwargs)
+                            **kwargs)
     except ValueError as e:
         raise ConfigError(f"config: {e}") from None
 

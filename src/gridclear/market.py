@@ -10,8 +10,9 @@ feasibilized primal cost; their gap closing is the convergence signal.
 Each node scales its price move by its own secant step, the two-point
 (Barzilai-Borwein) step on the dual: alpha = -dprice / dmismatch over its
 last two rounds when that is positive, else half its last step, clamped to
-[ALPHA_MIN, ALPHA_MAX]; the first step is alpha0. A node reads only its
-own price and mismatch for this, so the rule needs no extra message.
+[ALPHA_MIN, ALPHA_MAX]; the first step is the scenario's alpha0. A node
+reads only its own price and mismatch for this, so the rule needs no extra
+message.
 
 A node's round is one routine, `TradingAgent.play_round`, and all
 inter-node data flows through the transport it is given (see transport
@@ -23,7 +24,7 @@ sockets with each node in its own process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .transport import LoopbackTransport, Message, MessageKind
 __all__ = [
     "ALPHA_MIN",
     "ALPHA_MAX",
-    "StepSchedule",
     "secant_step",
     "Scenario",
     "IterationTrace",
@@ -56,18 +56,6 @@ __all__ = [
 # Bounds of the secant price step, ($/MWh) per MWh of mismatch.
 ALPHA_MIN = 1e-3
 ALPHA_MAX = 1e7
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Price-update step: alpha0 for every node's first move, then each
-    node's own secant step (see `secant_step`)."""
-
-    alpha0: float = 0.5     # ($/MWh) per MWh of mismatch, at round 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
-            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
 
 
 def secant_step(alpha: float, d_price: float, d_mismatch: float) -> float:
@@ -90,7 +78,7 @@ class Scenario:
     demands: tuple               # MWh per node
     gen_costs: tuple             # CostModel per node
     transfer_cost: CostModel
-    step: StepSchedule = StepSchedule()
+    alpha0: float = 0.5          # ($/MWh) per MWh, every node's first step
     tol_gap: float = 1e-4        # relative duality gap at convergence
     tol_mismatch: float = 1e-3   # MWh, max supply-demand mismatch
     max_iters: int = 20000
@@ -108,6 +96,8 @@ class Scenario:
         for d in demands:
             if not (math.isfinite(d) and d >= 0.0):
                 raise ValueError(f"demands must be nonnegative, got {d}")
+        if not (math.isfinite(self.alpha0) and self.alpha0 > 0):
+            raise ValueError(f"alpha0 must be positive, got {self.alpha0}")
         if not (math.isfinite(self.tol_gap) and self.tol_gap > 0):
             raise ValueError(f"tol_gap must be positive, got {self.tol_gap}")
         if not (math.isfinite(self.tol_mismatch) and self.tol_mismatch > 0):
@@ -118,16 +108,16 @@ class Scenario:
                 f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationTrace:
     """Per-round history of a market run.
 
     Row k holds the prices the nodes used during round k together with
-    everything computed from them; the price update happens after the row
-    is recorded, so the last row is self-consistent at convergence. Bids
-    are kept for the last row only, as a read-only copy of the array
-    `append` was given; `final_bids` turns it into nested tuples of floats
-    when read.
+    everything computed from them, not the prices the round's update moved
+    them to, so the last row is self-consistent at convergence. Bids are
+    kept for the last row only, as a read-only copy of the array `append`
+    was given; `final_bids` turns it into nested tuples of floats when
+    read. Traces compare by identity.
     """
 
     m: int
@@ -139,8 +129,8 @@ class IterationTrace:
     gaps: list = field(default_factory=list)          # $, primal - best dual
     cases: list = field(default_factory=list)         # tuple of case ids
     converged: bool = False
-    _bids: np.ndarray | None = field(default=None, init=False, repr=False,
-                                     compare=False)   # M×M, row = seller
+    _bids: np.ndarray | None = field(default=None, init=False,
+                                     repr=False)      # M×M, row = seller
 
     def rounds(self) -> int:
         return len(self.prices)
@@ -160,15 +150,6 @@ class IterationTrace:
         if self._bids is None:
             return ()
         return tuple(tuple(row) for row in self._bids.tolist())
-
-    def __eq__(self, other):
-        """Field by field like the generated comparison, the last bids by
-        value."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (all(getattr(self, f.name) == getattr(other, f.name)
-                    for f in fields(self) if f.compare)
-                and self.final_bids == other.final_bids)
 
     def append(self, prices, bids, subgrad, dual, primal, cases) -> None:
         best = max(self.best_duals[-1], dual) if self.best_duals else dual
@@ -236,7 +217,7 @@ class TradingAgent:
         self.problem = None
         self.solution = None
         self._solved_at = None      # prices of the last solve
-        self.alpha = scenario.step.alpha0
+        self.alpha = scenario.alpha0
         self._last_move = None      # (price, mismatch) of the last update
 
     def play_round(self, transport, k: int):
@@ -275,17 +256,14 @@ class TradingAgent:
             self._solved_at = prices
         return self.solution
 
-    def mismatch(self) -> float:
-        """Energy requested from this node minus what it offered, MWh."""
+    def update_price(self) -> float:
+        """Move the own price by the secant step times the mismatch (energy
+        requested from this node minus what it offered, MWh), floored at
+        zero; returns the mismatch."""
         requested = 0.0
         for j in self.buyers:   # ascending ids: fixed summation order
             requested += self.received_bids[j]
-        return requested - self.solution.e_sell
-
-    def update_price(self) -> float:
-        """Move the own price by the secant step times the mismatch, floored
-        at zero; returns the mismatch."""
-        m = self.mismatch()
+        m = requested - self.solution.e_sell
         if self._last_move is not None:
             last_price, last_m = self._last_move
             self.alpha = secant_step(self.alpha, self.price - last_price,
@@ -406,16 +384,13 @@ def step(state: MarketState, scenario: Scenario) -> MarketState:
         for i, amount in a.solution.e_buy.items():
             bids[i, j] = amount
     prices = [a.price for a in agents]
-    sg = [a.mismatch() for a in agents]
+    sg = [a.update_price() for a in agents]
     dual = 0.0
     for a in agents:
         dual += net_expenditure(a.problem, a.solution)
     primal = feasibilize_and_cost(bids, scenario)
     state.trace.append(prices, bids, sg, dual, primal,
                        [a.solution.case_id for a in agents])
-
-    for a in agents:
-        a.update_price()
     state.round += 1
     return state
 

@@ -7,7 +7,7 @@ Two deliberately different algorithm families:
   - solve_local_numeric: coarse grid scan plus descent over single and
     paired coordinate directions for one node's subproblem.
 
-Neither touches the case classification or the inverse-marginal closed
+Neither touches the closed-form solver or the inverse-marginal closed
 forms, so agreement with the closed-form solver is evidence rather than
 tautology.
 """

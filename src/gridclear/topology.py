@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Topology", "build", "from_adjacency", "in_sellers", "out_buyers"]
+__all__ = ["Topology", "build", "from_adjacency"]
 
 KINDS = ("full", "ring", "line")
 
@@ -32,7 +32,7 @@ class Topology:
                 raise ValueError(f"self-edges are not allowed (diagonal entry {i})")
 
     # Neighbor lists and the edge index are computed on first use and kept:
-    # a market reads them every round. The public accessors hand out copies.
+    # a market reads them every round. They are immutable.
 
     @cached_property
     def sellers(self) -> tuple:
@@ -62,13 +62,6 @@ class Topology:
             raise ValueError(f"node {i} out of range for m={self.m}")
         return i
 
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.buyers)
-
-    def edges(self):
-        """All directed (seller, buyer) pairs, row-major."""
-        return [(i, j) for i, row in enumerate(self.buyers) for j in row]
-
 
 def build(kind: str, m: int) -> Topology:
     """Construct one of the canonical topologies: full, ring or line."""
@@ -94,13 +87,3 @@ def from_adjacency(rows) -> Topology:
     """Topology from a row-major 0/1 (or bool) matrix."""
     adj = tuple(tuple(bool(v) for v in row) for row in rows)
     return Topology(len(adj), adj)
-
-
-def in_sellers(t: Topology, i: int) -> set:
-    """Nodes that may sell to node i (their prices are the ones i sees)."""
-    return set(t.sellers[t.check_node(i)])
-
-
-def out_buyers(t: Topology, i: int) -> set:
-    """Nodes that node i may sell to."""
-    return set(t.buyers[t.check_node(i)])

@@ -11,9 +11,10 @@ in one process, the TCP transport gives every node its own process and
 socket endpoint.
 
 Both transports refuse the same messages: `check` holds the field rules
-(kind, u32 round, u16 ids, finite value, no negative bid) and `encode` runs
-it before packing. The loopback runs `check` and files the message object
-itself; only the TCP transport puts bytes on a wire.
+(kind, u32 round, u16 ids, finite value, no negative bid). `encode` runs it
+before packing and `decode` after unpacking. The loopback runs `check` and
+files the message object itself; only the TCP transport puts bytes on a
+wire.
 
 Wire format, little-endian, 21 bytes per frame:
 
@@ -109,21 +110,19 @@ def encode(m: Message) -> bytes:
 
 
 def decode(frame: bytes) -> Message:
-    """Parse one frame; raises ProtocolError on anything malformed."""
+    """Parse one frame; raises ProtocolError on a wrong length or on a
+    field `check` refuses."""
     if len(frame) != FRAME_SIZE:
         raise ProtocolError(f"frame is {len(frame)} bytes, expected {FRAME_SIZE}")
-    length, round_no, sender, receiver, kind, value = _FRAME.unpack(frame)
+    length, *fields = _FRAME.unpack(frame)
     if length != _PAYLOAD:
         raise ProtocolError(f"length field {length}, expected {_PAYLOAD}")
     try:
-        kind = MessageKind(kind)
-    except ValueError:
-        raise ProtocolError(f"unknown message kind {kind}") from None
-    if not math.isfinite(value):
-        raise ProtocolError(f"non-finite value in {kind.name} frame")
-    if kind == MessageKind.BID and value < 0.0:
-        raise ProtocolError(f"negative bid {value} from node {sender}")
-    return Message(round_no, sender, receiver, kind, value)
+        check(fields)
+    except ValueError as e:
+        raise ProtocolError(str(e)) from None
+    round_no, sender, receiver, kind, value = fields
+    return Message(round_no, sender, receiver, MessageKind(kind), value)
 
 
 def _accept(msg: Message, node: int, round_no: int, kind: MessageKind,
@@ -170,16 +169,20 @@ class LoopbackTransport:
         self.m = m
         self._mailboxes = [[] for _ in range(m)]
 
+    def _check_node(self, node: int) -> None:
+        if not 0 <= node < self.m:
+            raise TransportError(f"no such node {node}")
+
     def post(self, messages) -> None:
         mailboxes = self._mailboxes
         for msg in messages:
-            if not 0 <= msg.receiver < self.m:
-                raise TransportError(f"no such node {msg.receiver}")
+            self._check_node(msg.receiver)
             check(msg)
             mailboxes[msg.receiver].append(msg)
 
     def collect(self, node: int, round_no: int, kind: MessageKind,
                 senders) -> dict:
+        self._check_node(node)
         expected = set(senders)
         got = {}
         self._mailboxes[node] = [

@@ -24,7 +24,6 @@ from gridclear.local_solver import (LocalProblem, net_expenditure,
 from gridclear.market import Scenario, run
 from gridclear.oracle import (local_gradient, local_objective,
                               solve_global_numeric, solve_local_numeric)
-from gridclear.topology import in_sellers
 
 GEN = DEFAULT_GENERATION_COST
 TR = DEFAULT_TRANSFER_COST
@@ -91,8 +90,7 @@ def solutions_at_final_prices(scn, trace):
         p = LocalProblem(
             node=i, demand=scn.demands[i], gen_cost=scn.gen_costs[i],
             transfer_cost=scn.transfer_cost,
-            seller_prices={j: lam[j]
-                           for j in sorted(in_sellers(scn.topology, i))},
+            seller_prices={j: lam[j] for j in scn.topology.sellers[i]},
             own_price=lam[i])
         out.append((p, solve_local(p)))
     return out

@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import socket
 import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,11 +39,11 @@ def test_minimal_config_fills_defaults():
     spec = parse_config('{"demands": [8, 11, 11, 6]}')
     scn = spec.scenario
     assert scn.topology.m == 4
-    assert scn.topology.edge_count() == 12          # full by default
+    assert len(scn.topology.edge_index[0]) == 12    # full by default
     assert scn.demands == (8.0, 11.0, 11.0, 6.0)
     assert scn.gen_costs[0] is DEFAULT_GENERATION_COST
     assert scn.transfer_cost.lin == 1.0 and scn.transfer_cost.cub == 1.0
-    assert scn.step.alpha0 == 0.5
+    assert scn.alpha0 == 0.5
     assert scn.tol_gap == 1e-4 and scn.tol_mismatch == 1e-3
     assert scn.max_iters == 20000
     assert spec.out_dir == "out"
@@ -71,7 +73,7 @@ def test_full_config_document():
     assert scn.gen_costs[1].b == 60.0
     assert scn.gen_costs[1].a == DEFAULT_GENERATION_COST.a   # unset -> default
     assert scn.transfer_cost.lin == 2.0
-    assert scn.step.alpha0 == 0.3
+    assert scn.alpha0 == 0.3
     assert scn.tol_gap == 1e-5 and scn.max_iters == 5000
     assert spec.rounds == 100
     assert spec.agents == {0: ("127.0.0.1", 9001), 1: ("localhost", 9002)}
@@ -105,7 +107,10 @@ def test_config_errors_name_the_path():
         ('{"demands": [1], "gen_cost": {"volts": 3}}', "config.gen_cost.volts"),
         ('{"demands": [1], "gen_cost": {"b": 0}}', "config.gen_cost"),
         ('{"demands": [1], "transfer_cost": {"cub": 0}}', "config.transfer_cost"),
-        ('{"demands": [1], "step": {"alpha0": -1}}', "config.step"),
+        ('{"demands": [1], "step": {"alpha0": -1}}',
+         "config: alpha0 must be positive"),
+        ('{"demands": [1], "step": {"alpha0": "x"}}', "config.step.alpha0"),
+        ('{"demands": [1], "step": 0.5}', "config.step: expected an object"),
         ('{"demands": [1], "step": {"kappa": 500}}',
          "config.step.kappa: unknown key"),
         ('{"demands": [1], "tol_gap": 0}', "tol_gap"),
@@ -174,6 +179,21 @@ def test_run_fixed_rounds(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rounds"] == 3
     assert summary["converged"] is False
+
+
+def test_python_m_gridclear_runs(tmp_path):
+    # `python -m gridclear` goes through the package's __main__.py.
+    cfg = config_file(tmp_path, {"demands": [2, 10], "topology": "line"})
+    out = tmp_path / "out"
+    src = Path(cli_harness.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "gridclear", "run", "--config", cfg,
+         "--rounds", "3", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rounds"] == 3
 
 
 def test_sweep_emits_one_row_per_node_and_value(tmp_path):

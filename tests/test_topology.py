@@ -1,46 +1,47 @@
 import numpy as np
 import pytest
 
-from gridclear.topology import (Topology, build, from_adjacency, in_sellers,
-                                out_buyers)
+from gridclear.topology import Topology, build, from_adjacency
 
 
 def test_full_topology():
     t = build("full", 4)
     assert t.m == 4
-    assert t.edge_count() == 12
-    assert (0, 1) in t.edges() and (3, 0) in t.edges()
-    assert in_sellers(t, 2) == {0, 1, 3}
-    assert out_buyers(t, 2) == {0, 1, 3}
+    assert len(t.edge_index[0]) == 12
+    assert 1 in t.buyers[0] and 0 in t.buyers[3]
+    assert t.sellers[2] == (0, 1, 3)
+    assert t.buyers[2] == (0, 1, 3)
 
 
 def test_ring_topology():
     t = build("ring", 4)
-    assert t.edge_count() == 8
-    assert in_sellers(t, 0) == {1, 3}
-    assert in_sellers(t, 2) == {1, 3}
-    assert (0, 2) not in t.edges()
+    assert len(t.edge_index[0]) == 8
+    assert t.sellers[0] == (1, 3)
+    assert t.sellers[2] == (1, 3)
+    assert 2 not in t.buyers[0]
 
 
 def test_line_topology():
     t = build("line", 4)
-    assert t.edge_count() == 6
-    assert in_sellers(t, 0) == {1}
-    assert in_sellers(t, 3) == {2}
-    assert in_sellers(t, 1) == {0, 2}
-    assert (3, 0) not in t.edges()
+    assert len(t.edge_index[0]) == 6
+    assert t.sellers[0] == (1,)
+    assert t.sellers[3] == (2,)
+    assert t.sellers[1] == (0, 2)
+    assert 0 not in t.buyers[3]
 
 
 def test_single_node_has_no_edges():
     for kind in ("full", "ring", "line"):
         t = build(kind, 1)
-        assert t.edge_count() == 0
-        assert in_sellers(t, 0) == set()
+        assert len(t.edge_index[0]) == 0
+        assert t.sellers[0] == () and t.buyers[0] == ()
 
 
 def test_edges_are_directed_pairs():
     t = build("line", 3)
-    assert sorted(t.edges()) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    sellers, buyers = t.edge_index      # row-major
+    assert sellers.tolist() == [0, 1, 1, 2]
+    assert buyers.tolist() == [1, 0, 2, 1]
 
 
 def test_from_adjacency_coerces_to_bool():
@@ -52,9 +53,10 @@ def test_from_adjacency_coerces_to_bool():
 def test_asymmetric_adjacency_allowed():
     # 0 may sell to 1 but not the reverse
     t = from_adjacency([[0, 1], [0, 0]])
-    assert out_buyers(t, 0) == {1}
-    assert in_sellers(t, 0) == set()
-    assert out_buyers(t, 1) == set()
+    assert t.buyers[0] == (1,)
+    assert t.sellers[0] == ()
+    assert t.buyers[1] == ()
+    assert t.sellers[1] == (0,)
 
 
 def test_self_edge_rejected():
@@ -75,10 +77,11 @@ def test_bad_shapes_rejected():
 
 def test_node_out_of_range():
     t = build("full", 3)
+    assert t.check_node(2) == 2
     with pytest.raises(ValueError, match="out of range"):
-        in_sellers(t, 3)
+        t.check_node(3)
     with pytest.raises(ValueError, match="out of range"):
-        out_buyers(t, -1)
+        t.check_node(-1)
 
 
 def random_digraphs():
@@ -95,22 +98,9 @@ def test_cached_neighbors_match_a_scan():
     for t in random_digraphs():
         m = t.m
         for i in range(m):
-            assert in_sellers(t, i) == {j for j in range(m) if t.adj[j][i]}
-            assert out_buyers(t, i) == {j for j in range(m) if t.adj[i][j]}
-            assert t.sellers[i] == tuple(sorted(in_sellers(t, i)))
-            assert t.buyers[i] == tuple(sorted(out_buyers(t, i)))
+            assert t.sellers[i] == tuple(j for j in range(m) if t.adj[j][i])
+            assert t.buyers[i] == tuple(j for j in range(m) if t.adj[i][j])
         scan = [(i, j) for i in range(m) for j in range(m) if t.adj[i][j]]
-        assert t.edges() == scan      # row-major order
-        assert t.edge_count() == len(scan)
         sellers, buyers = t.edge_index
         assert list(zip(sellers.tolist(), buyers.tolist())) == scan
-
-
-def test_accessors_return_fresh_copies():
-    t = build("ring", 5)
-    in_sellers(t, 0).add(2)
-    out_buyers(t, 0).clear()
-    t.edges().append((0, 2))
-    assert in_sellers(t, 0) == {1, 4}
-    assert out_buyers(t, 0) == {1, 4}
-    assert (0, 2) not in t.edges() and len(t.edges()) == 10
+        assert not (sellers.flags.writeable or buyers.flags.writeable)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gridclear import market, topology
+from gridclear import market, topology, transport
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
                                    DEFAULT_TRANSFER_COST)
 from gridclear.transport import (DEFAULT_TIMEOUT, FRAME_SIZE,
@@ -80,6 +80,23 @@ def test_decode_rejects_malformed_frames():
         decode(nan_frame)
 
 
+@pytest.mark.parametrize("fields", [
+    (0, 0, 1, MessageKind.PRICE, float("nan")),
+    (0, 0, 1, MessageKind.PRICE, float("inf")),
+    (0, 0, 1, MessageKind.BID, -0.5),
+    (0, 0, 1, 0, 1.0),
+    (0, 0, 1, 3, 1.0),
+])
+def test_encode_and_decode_refuse_by_one_rule_set(fields):
+    with pytest.raises(ValueError) as refused:
+        encode(Message(*fields))
+    # the same fields packed past encode's checks, as a faulty peer might
+    frame = transport._FRAME.pack(FRAME_SIZE - 4, *fields)
+    with pytest.raises(ProtocolError) as caught:
+        decode(frame)
+    assert str(refused.value) in str(caught.value)
+
+
 # -- loopback -----------------------------------------------------------------
 
 def test_loopback_delivers_by_receiver():
@@ -127,6 +144,13 @@ def test_loopback_rejects_protocol_violations():
 
     with pytest.raises(TransportError, match="no such node"):
         tr.post([Message(0, 0, 5, MessageKind.PRICE, 50.0)])
+
+    tr = LoopbackTransport(2)
+    tr.post([Message(0, 0, 1, MessageKind.PRICE, 50.0)])
+    for node in (-1, 2):    # -1 would read node 1's mailbox
+        with pytest.raises(TransportError, match=f"no such node {node}"):
+            tr.collect(node, 0, MessageKind.PRICE, {0})
+    assert tr.collect(1, 0, MessageKind.PRICE, {0})[0].value == 50.0
 
 
 @pytest.mark.parametrize("msg, match", [
