@@ -10,6 +10,12 @@ missing, unexpected, duplicate or stale one). The loopback keeps all agents
 in one process, the TCP transport gives every node its own process and
 socket endpoint.
 
+A node posts to each neighbor in the order that neighbor collects (price,
+then bids, round after round, in any topology), so the TCP transport reads
+each expected peer's stream in order, one frame per collect. A frame from a
+sender the node is not collecting from is refused when that peer is next
+read. The loopback picks the wanted messages out of a mailbox.
+
 Both transports refuse the same messages: `check` holds the field rules
 (kind, u32 round, u16 ids, finite value, no negative bid). `encode` runs it
 before packing and `decode` after unpacking. The loopback runs `check` and
@@ -27,7 +33,6 @@ from __future__ import annotations
 
 import math
 from operator import index
-import selectors
 import socket
 import struct
 import time
@@ -131,8 +136,9 @@ def _accept(msg: Message, node: int, round_no: int, kind: MessageKind,
     `kind` messages of `round_no` from `expected` into `got`.
 
     Files the frame and returns True if it belongs to this collect; returns
-    False if it is for a later phase or round (the caller keeps it queued);
-    raises ProtocolError if it is stale, from an unexpected sender, or a
+    False if it is for a later phase or round (the loopback keeps it in the
+    mailbox; TCP refuses it when it heads a peer's stream); raises
+    ProtocolError if it is stale, from an unexpected sender, or a
     duplicate.
     """
     if msg.round < round_no:
@@ -204,8 +210,8 @@ class TcpTransport:
 
     For every neighbor pair the higher id dials the lower id, which is
     listening; the dialer identifies itself with a 2-byte id preamble.
-    Frames for rounds or phases ahead of the current collect are buffered,
-    frames for past rounds are a protocol error.
+    `collect` takes the next frame of each expected peer's stream; bytes
+    read past it stay in that peer's buffer.
     """
 
     def __init__(self, node: int, addresses: dict, neighbors,
@@ -223,8 +229,6 @@ class TcpTransport:
             raise ValueError(f"no address configured for node {node}")
         self._conns = {}
         self._buffers = {}
-        self._pending = []
-        self._eof = set()
         self._listener = None
 
     # -- connection setup ---------------------------------------------------
@@ -307,6 +311,9 @@ class TcpTransport:
 
     def post(self, messages) -> None:
         for msg in messages:
+            if msg.sender != self.node:
+                raise TransportError(
+                    f"endpoint of node {self.node} asked to post as node {msg.sender}")
             conn = self._conns.get(msg.receiver)
             if conn is None:
                 raise TransportError(
@@ -323,59 +330,47 @@ class TcpTransport:
             raise TransportError(
                 f"endpoint of node {self.node} asked to collect for node {node}")
         expected = set(senders)
+        unconnected = expected - self._conns.keys()
+        if unconnected:
+            raise TransportError(f"node {self.node} has no connection "
+                                 f"to node {min(unconnected)}")
         got = {}
-        self._pending = [msg for msg in self._pending
-                         if not _accept(msg, node, round_no, kind, expected, got)]
-        if set(got) == expected:
-            return got
-        for peer in sorted(expected - set(got)):
-            if peer in self._eof:
-                raise TransportError(
-                    f"node {self.node}: node {peer} closed the connection")
-
         deadline = time.monotonic() + self.timeout
-        with selectors.DefaultSelector() as sel:
-            for peer, conn in self._conns.items():
-                if peer not in self._eof:
-                    sel.register(conn, selectors.EVENT_READ, peer)
-            while set(got) != expected:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+        for peer in sorted(expected):
+            conn, buf = self._conns[peer], self._buffers[peer]
+            while len(buf) < FRAME_SIZE:
+                conn.settimeout(max(0.001, deadline - time.monotonic()))
+                try:
+                    chunk = conn.recv(65536)
+                except socket.timeout:
                     missing = sorted(expected - set(got))
                     raise TransportError(
                         f"node {self.node} round {round_no}: timeout, "
-                        f"no {kind.name} from {missing}")
-                for key, _ in sel.select(remaining):
-                    peer = key.data
-                    try:
-                        chunk = key.fileobj.recv(65536)
-                    except OSError as e:
-                        raise TransportError(
-                            f"node {self.node} lost node {peer}: {e}") from e
-                    if not chunk:
-                        # A peer that finished its rounds closes while slower
-                        # nodes are still draining; that is only an error if
-                        # this collect still needs a frame from it.
-                        sel.unregister(key.fileobj)
-                        self._eof.add(peer)
-                        if self._buffers[peer]:
-                            raise ProtocolError(
-                                f"node {self.node}: node {peer} closed mid-frame")
-                        if peer in expected and peer not in got:
-                            raise TransportError(
-                                f"node {self.node}: node {peer} closed the connection")
-                        continue
-                    buf = self._buffers[peer]
-                    buf.extend(chunk)
-                    while len(buf) >= FRAME_SIZE:
-                        frame = bytes(buf[:FRAME_SIZE])
-                        del buf[:FRAME_SIZE]
-                        msg = decode(frame)
-                        if msg.receiver != self.node:
-                            raise ProtocolError(
-                                f"frame addressed to {msg.receiver} arrived at {self.node}")
-                        if not _accept(msg, node, round_no, kind, expected, got):
-                            self._pending.append(msg)
+                        f"no {kind.name} from {missing}") from None
+                except OSError as e:
+                    raise TransportError(
+                        f"node {self.node} lost node {peer}: {e}") from e
+                if not chunk:
+                    if buf:
+                        raise ProtocolError(
+                            f"node {self.node}: node {peer} closed mid-frame")
+                    raise TransportError(
+                        f"node {self.node}: node {peer} closed the connection")
+                buf.extend(chunk)
+            # The first frame must be this collect's; frames behind it are
+            # for later phases, and a repeat or a stale one is refused now.
+            for start in range(0, len(buf) - FRAME_SIZE + 1, FRAME_SIZE):
+                msg = decode(buf[start:start + FRAME_SIZE])
+                if msg.sender != peer or msg.receiver != self.node:
+                    raise ProtocolError(
+                        f"node {peer} sent node {self.node} a frame from "
+                        f"{msg.sender} to {msg.receiver}")
+                if (not _accept(msg, node, round_no, kind, expected, got)
+                        and start == 0):
+                    raise ProtocolError(
+                        f"out of order round-{msg.round} {msg.kind.name} from "
+                        f"node {peer} at node {node} in round {round_no}")
+            del buf[:FRAME_SIZE]
         return got
 
     def close(self) -> None:

@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import struct
 import threading
@@ -370,6 +371,62 @@ def test_tcp_failed_connect_closes_dialled_peers():
             assert conn.recv(1) == b""
 
 
+@contextlib.contextmanager
+def raw_peers(node, peers, timeout):
+    """Node `node`'s TcpTransport, connected to plain listening sockets that
+    stand in for its lower-id `peers`; yields it and {peer: socket}."""
+    addresses = mesh_addresses(node + 1)
+    with contextlib.ExitStack() as stack:
+        listeners = {p: stack.enter_context(socket.create_server(addresses[p]))
+                     for p in peers}
+        tr = stack.enter_context(
+            TcpTransport(node, addresses, peers, timeout=timeout))
+        tr.connect()
+        conns = {}
+        for p, listener in listeners.items():
+            listener.settimeout(1.0)
+            conns[p] = stack.enter_context(listener.accept()[0])
+            conns[p].settimeout(1.0)
+            assert conns[p].recv(2, socket.MSG_WAITALL) == struct.pack("<H", node)
+        yield tr, conns
+
+
+@pytest.mark.parametrize("data, match", [
+    # a price as node 1 ahead of its own: not to be filed as node 1's price
+    (encode(Message(0, 1, 2, MessageKind.PRICE, 99.0))
+     + encode(Message(0, 0, 2, MessageKind.PRICE, 1.0)), "frame from 1"),
+    (encode(Message(0, 0, 2, MessageKind.BID, 1.0)), "out of order"),
+    (encode(Message(1, 0, 2, MessageKind.PRICE, 1.0)), "out of order"),
+    (encode(Message(0, 0, 2, MessageKind.PRICE, 1.0))[:10], "closed mid-frame"),
+], ids=["other-id", "other-kind", "later-round", "part-frame"])
+def test_tcp_refuses_frames_out_of_stream_order(data, match):
+    # node 2 collects round-0 prices from 0 and 1; peer 0, read first,
+    # sends `data` and closes
+    with raw_peers(2, [0, 1], timeout=1.0) as (tr, conns):
+        conns[0].sendall(data)
+        conns[0].shutdown(socket.SHUT_WR)
+        with pytest.raises(ProtocolError, match=match):
+            tr.collect(2, 0, MessageKind.PRICE, {0, 1})
+
+
+def test_tcp_post_refuses_another_senders_message():
+    with raw_peers(1, [0], timeout=1.0) as (tr, conns):
+        with pytest.raises(TransportError, match="post as node 0"):
+            tr.post([Message(0, 0, 0, MessageKind.PRICE, 3.0)])
+        tr.post([Message(0, 1, 0, MessageKind.PRICE, 4.0)])
+        frame = conns[0].recv(FRAME_SIZE, socket.MSG_WAITALL)
+        assert decode(frame) == Message(0, 1, 0, MessageKind.PRICE, 4.0)
+
+
+def test_tcp_collect_from_unconnected_sender_fails_at_once():
+    with raw_peers(1, [0], timeout=1.0) as (tr, conns):
+        conns[0].sendall(encode(Message(0, 0, 1, MessageKind.PRICE, 1.0)))
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="no connection to node 5"):
+            tr.collect(1, 0, MessageKind.PRICE, {0, 5})
+        assert time.monotonic() - start < 0.5
+
+
 def test_tcp_validates_configuration():
     with pytest.raises(ValueError, match="neighbor itself"):
         TcpTransport(0, {0: ("127.0.0.1", 1)}, [0])
@@ -377,12 +434,24 @@ def test_tcp_validates_configuration():
         TcpTransport(0, {0: ("127.0.0.1", 1)}, [1])
 
 
-def test_tcp_agents_match_loopback_every_round():
+# One-way links: 0->1, 1->2, 2->0, 3->4, 4->5, 5->3, 1->4 carry prices one
+# way and bids the other; 2<->3 carries both ways.
+DIGRAPH = topology.from_adjacency([[0, 1, 0, 0, 0, 0],
+                                   [0, 0, 1, 0, 1, 0],
+                                   [1, 0, 0, 1, 0, 0],
+                                   [0, 0, 1, 0, 1, 0],
+                                   [0, 0, 0, 0, 0, 1],
+                                   [0, 0, 0, 1, 0, 0]])
+
+
+@pytest.mark.parametrize("top", [topology.build("ring", 6), DIGRAPH],
+                         ids=["ring", "digraph"])
+def test_tcp_agents_match_loopback_every_round(top):
     # Each node runs run_agent in its own thread over real sockets; every
     # round's price and regime must equal the loopback trace's, bit for bit.
     demands = (9.0, 2.0, 7.0, 10.0, 1.0, 5.0)
     m, rounds = len(demands), 40
-    scn = market.Scenario(topology=topology.build("ring", m), demands=demands,
+    scn = market.Scenario(topology=top, demands=demands,
                           gen_costs=(DEFAULT_GENERATION_COST,) * m,
                           transfer_cost=DEFAULT_TRANSFER_COST)
     adj = scn.topology.adj
