@@ -110,17 +110,17 @@ class Scenario:
 
 @dataclass(eq=False)
 class IterationTrace:
-    """Per-round history of a market run.
+    """Per-round history of a market run on `topology`.
 
     Row k holds the prices the nodes used during round k together with
     everything computed from them, not the prices the round's update moved
     them to, so the last row is self-consistent at convergence. Bids are
-    kept for the last row only, as a read-only copy of the array `append`
-    was given; `final_bids` turns it into nested tuples of floats when
+    kept for the last row only, as a read-only copy of the edge vector
+    `append` was given; `final_bids` spreads it over an M×M matrix when
     read. Traces compare by identity.
     """
 
-    m: int
+    topology: Topology
     prices: list = field(default_factory=list)        # tuple of $/MWh
     subgradients: list = field(default_factory=list)  # tuple of MWh
     duals: list = field(default_factory=list)         # $
@@ -130,7 +130,11 @@ class IterationTrace:
     cases: list = field(default_factory=list)         # tuple of case ids
     converged: bool = False
     _bids: np.ndarray | None = field(default=None, init=False,
-                                     repr=False)      # M×M, row = seller
+                                     repr=False)      # one per edge
+
+    @property
+    def m(self) -> int:
+        return self.topology.m
 
     def rounds(self) -> int:
         return len(self.prices)
@@ -146,10 +150,12 @@ class IterationTrace:
     @property
     def final_bids(self) -> tuple:
         """Bid matrix of the last row as M×M nested tuples of floats
-        (row = seller); () before the first row."""
+        (row = seller, zero off the edges); () before the first row."""
         if self._bids is None:
             return ()
-        return tuple(tuple(row) for row in self._bids.tolist())
+        bids = np.zeros((self.m, self.m))
+        bids[self.topology.edge_index] = self._bids
+        return tuple(tuple(row) for row in bids.tolist())
 
     def append(self, prices, bids, subgrad, dual, primal, cases) -> None:
         best = max(self.best_duals[-1], dual) if self.best_duals else dual
@@ -311,41 +317,34 @@ def dual_value(prices, scenario: Scenario) -> float:
 
 
 def feasibilize_and_cost(bids, scenario: Scenario):
-    """Turn a bid matrix into a feasible operating point and price it.
+    """Turn a round's bids into a feasible operating point and price it.
 
-    Trades are taken verbatim (row = seller); each node then generates
-    whatever its demand plus outgoing trades still require, floored at
-    zero. Returns the total cost in $: generation node by node, then
-    transfers in row-major edge order.
+    `bids` holds one amount per edge, in `Topology.edge_index` order.
+    Trades are taken verbatim; each node then generates whatever its demand
+    plus outgoing trades still require, floored at zero. Returns the total
+    cost in $: generation node by node, then transfers in edge order.
 
-    Raises ValueError on a non-finite bid, else on the first bid in
-    row-major order that is negative or lies on a missing edge.
+    Raises ValueError on a vector of the wrong length, else on the first
+    bid in edge order that is non-finite or negative, named [seller][buyer].
     """
     top = scenario.topology
     m = top.m
-    B = np.asarray(bids, dtype=float)
-    if B.shape != (m, m):
-        raise ValueError(f"bid matrix shape {B.shape}, expected {(m, m)}")
-    finite = np.isfinite(B)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ValueError(f"non-finite bid {B[i][j]} at [{i}][{j}]")
     sellers, buyers = top.edge_index
-    off_edge = B != 0.0
-    off_edge[sellers, buyers] = False
-    bad = off_edge | (B < 0.0)
+    b = np.asarray(bids, dtype=float)
+    if b.shape != sellers.shape:
+        raise ValueError(f"bids of shape {b.shape}, expected {sellers.shape}")
+    bad = ~(np.isfinite(b) & (b >= 0.0))
     if bad.any():
-        i, j = np.argwhere(bad)[0]
-        if B[i][j] < 0.0:
-            raise ValueError(f"negative bid {B[i][j]} at [{i}][{j}]")
-        raise ValueError(f"bid on missing edge {i}->{j}")
-    sold = B.sum(axis=1)
-    bought = B.sum(axis=0)
+        k = int(np.argmax(bad))
+        kind = "negative" if np.isfinite(b[k]) else "non-finite"
+        raise ValueError(f"{kind} bid {b[k]} at [{sellers[k]}][{buyers[k]}]")
+    sold = np.bincount(sellers, weights=b, minlength=m)
+    bought = np.bincount(buyers, weights=b, minlength=m)
     cost = 0.0
     for i in range(m):
         g = max(0.0, scenario.demands[i] + sold[i] - bought[i])
         cost += scenario.gen_costs[i].value(g)
-    for c in scenario.transfer_cost.value(B[sellers, buyers]).tolist():
+    for c in scenario.transfer_cost.value(b).tolist():
         cost += c
     return float(cost)
 
@@ -365,7 +364,8 @@ class MarketState:
 def new_state(scenario: Scenario) -> MarketState:
     m = scenario.topology.m
     agents = [TradingAgent(i, scenario) for i in range(m)]
-    return MarketState(0, agents, LoopbackTransport(m), IterationTrace(m))
+    return MarketState(0, agents, LoopbackTransport(m),
+                       IterationTrace(scenario.topology))
 
 
 def step(state: MarketState, scenario: Scenario) -> MarketState:
@@ -378,11 +378,9 @@ def step(state: MarketState, scenario: Scenario) -> MarketState:
         for r in rounds:
             next(r, None)
 
-    m = len(agents)
-    bids = np.zeros((m, m))
-    for j, a in enumerate(agents):
-        for i, amount in a.solution.e_buy.items():
-            bids[i, j] = amount
+    # what each seller was asked for: one bid per edge, in edge order
+    bids = np.array([a.received_bids[j] for a in agents for j in a.buyers],
+                    dtype=float)
     prices = [a.price for a in agents]
     sg = [a.update_price() for a in agents]
     dual = 0.0

@@ -48,8 +48,8 @@ class Topology:
 
     @cached_property
     def edge_index(self) -> tuple:
-        """The edges as two read-only index arrays (sellers, buyers), in
-        row-major order, for fancy-indexing an M×M matrix."""
+        """The edges as two read-only index arrays (sellers, buyers), by
+        seller, then by buyer: the layout of a round's bids, one per edge."""
         sellers = np.repeat(np.arange(self.m, dtype=np.intp),
                             [len(row) for row in self.buyers])
         buyers = np.array([j for row in self.buyers for j in row], dtype=np.intp)

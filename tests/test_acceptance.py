@@ -365,3 +365,32 @@ def test_socket_and_loopback_runs_agree(tmp_path):
     trace = run(scenario("full", (8.0, 11.0, 11.0, 6.0)), rounds=rounds)
     diffs = [abs(a - b) for a, b in zip(socket_prices, trace.final_prices)]
     assert max(diffs) <= 1e-9, f"transports disagree by {max(diffs):.3e}"
+
+
+# 11 -- adding links never raises the cost ------------------------------------
+
+def test_more_links_never_cost_more():
+    # The paper's topology result as an exact certificate. A line's links
+    # are a subset of a ring's, and a ring's of a full mesh's, so the
+    # optimal cost can only fall as links are added. Weak duality certifies
+    # each step from numbers the traces hold, at whatever prices they
+    # stopped: best dual (full) <= primal (ring), best dual (ring) <= primal
+    # (line), and best dual (line) <= the islanded cost sum_i C_i(d_i).
+    # Thirty markets of 4-6 nodes with demands U(1, 11) MWh; README's
+    # "Results by topology" table comes from the same population.
+    rng = np.random.default_rng(2)
+    for _ in range(30):
+        m = int(rng.integers(4, 7))
+        demands = tuple(float(x) for x in rng.uniform(1.0, 11.0, size=m))
+        trace = {kind: run(Scenario(topology=topology.build(kind, m),
+                                    demands=demands, gen_costs=(GEN,) * m,
+                                    transfer_cost=TR, max_iters=5000))
+                 for kind in ("full", "ring", "line")}
+        islanded = sum(GEN.value(d) for d in demands)
+        for lower, upper, label in (
+                (trace["full"].best_duals[-1], trace["ring"].primals[-1],
+                 "full vs ring"),
+                (trace["ring"].best_duals[-1], trace["line"].primals[-1],
+                 "ring vs line"),
+                (trace["line"].best_duals[-1], islanded, "line vs islanded")):
+            assert lower <= upper + 1e-9 * abs(upper), (label, demands)

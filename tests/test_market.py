@@ -208,13 +208,18 @@ def test_trades_csv_is_final_bid_matrix():
     assert float(rows[0][1]) == trace.final_bids[0][1]
 
 
+def edge_bids(matrix, scn):
+    """A bid matrix (row = seller) as the edge vector the market keeps."""
+    return np.asarray(matrix, dtype=float)[scn.topology.edge_index]
+
+
 def test_feasibilize_prices_a_bid_matrix():
     scn = scenario("line", [2.0, 10.0])
-    cost = feasibilize_and_cost([[0.0, 1.0], [0.0, 0.0]], scn)
+    cost = feasibilize_and_cost(edge_bids([[0.0, 1.0], [0.0, 0.0]], scn), scn)
     assert cost == pytest.approx(GEN.value(3.0) + GEN.value(9.0) + TR.value(1.0),
                                  rel=1e-12)
     # oversold node generates the extra; overbought node floors at zero
-    cost = feasibilize_and_cost([[0.0, 12.0], [0.0, 0.0]], scn)
+    cost = feasibilize_and_cost(edge_bids([[0.0, 12.0], [0.0, 0.0]], scn), scn)
     assert cost == pytest.approx(GEN.value(14.0) + GEN.value(0.0) + TR.value(12.0),
                                  rel=1e-12)
 
@@ -222,34 +227,37 @@ def test_feasibilize_prices_a_bid_matrix():
 def test_feasibilize_rejects_bad_bids():
     scn = scenario("line", [2.0, 10.0])
     with pytest.raises(ValueError, match="negative bid"):
-        feasibilize_and_cost([[0.0, -1.0], [0.0, 0.0]], scn)
-    with pytest.raises(ValueError, match="shape"):
-        feasibilize_and_cost([[0.0, 0.0]], scn)
-    scn3 = scenario("line", [2.0, 6.0, 10.0])
-    with pytest.raises(ValueError, match="missing edge"):
-        feasibilize_and_cost([[0.0, 0.0, 1.0]] + [[0.0] * 3] * 2, scn3)
+        feasibilize_and_cost(edge_bids([[0.0, -1.0], [0.0, 0.0]], scn), scn)
+    for wrong in ([0.0], [0.0, 0.0, 0.0], [[0.0, 1.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="shape"):
+            feasibilize_and_cost(wrong, scn)
     for bad in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="non-finite bid"):
-            feasibilize_and_cost([[0.0, bad], [0.0, 0.0]], scn)
+            feasibilize_and_cost(edge_bids([[0.0, bad], [0.0, 0.0]], scn), scn)
 
 
 def test_feasibilize_reports_the_first_bad_bid_in_row_major_order():
-    # [0][2] (no edge 0->2 in a line) comes before the negative [1][0]
+    # edges of a 3-node line, in order: [0][1], [1][0], [1][2], [2][1]
     scn = scenario("line", [2.0, 6.0, 10.0])
-    bids = [[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-    with pytest.raises(ValueError, match=r"bid on missing edge 0->2"):
-        feasibilize_and_cost(bids, scn)
-    bids[0][2] = 0.0
+    bids = [[0.0, 0.0, 0.0], [-1.0, 0.0, float("nan")], [0.0, -2.0, 0.0]]
     with pytest.raises(ValueError, match=r"negative bid -1\.0 at \[1\]\[0\]"):
-        feasibilize_and_cost(bids, scn)
+        feasibilize_and_cost(edge_bids(bids, scn), scn)
+    bids[0][1] = float("inf")
+    with pytest.raises(ValueError, match=r"non-finite bid inf at \[0\]\[1\]"):
+        feasibilize_and_cost(edge_bids(bids, scn), scn)
 
 
 def reference_cost(bids, scn):
-    """feasibilize_and_cost as a plain loop over every cell: generation
-    node by node, then each edge's transfer in row-major order."""
+    """feasibilize_and_cost as a plain loop over every cell of the bid
+    matrix: each node's sales and purchases summed in ascending id order,
+    generation node by node, then each edge's transfer in row-major order."""
     adj, m = scn.topology.adj, scn.topology.m
-    B = np.asarray(bids, dtype=float)
-    sold, bought = B.sum(axis=1), B.sum(axis=0)
+    B = np.asarray(bids, dtype=float).tolist()
+    sold, bought = [0.0] * m, [0.0] * m
+    for i in range(m):
+        for j in range(m):
+            sold[i] += B[i][j]
+            bought[j] += B[i][j]
     cost = 0.0
     for i in range(m):
         cost += scn.gen_costs[i].value(
@@ -264,7 +272,7 @@ def reference_cost(bids, scn):
 def test_feasibilize_matches_a_cell_by_cell_loop():
     rng = np.random.default_rng(11)
     for _ in range(200):
-        m = int(rng.integers(1, 9))
+        m = int(rng.integers(1, 13))    # rows of 8 or more sum differently
         adj = rng.random((m, m)) < 0.6
         np.fill_diagonal(adj, False)
         bids = np.where(adj & (rng.random((m, m)) < 0.7),
@@ -272,8 +280,29 @@ def test_feasibilize_matches_a_cell_by_cell_loop():
         scn = Scenario(topology=topology.from_adjacency(adj.tolist()),
                        demands=tuple(rng.uniform(0.0, 13.0, size=m)),
                        gen_costs=(GEN,) * m, transfer_cost=TR)
-        assert feasibilize_and_cost(bids, scn) == reference_cost(bids, scn)
-        assert feasibilize_and_cost(bids.tolist(), scn) == reference_cost(bids, scn)
+        edges = edge_bids(bids, scn)
+        assert feasibilize_and_cost(edges, scn) == reference_cost(bids, scn)
+        assert feasibilize_and_cost(edges.tolist(), scn) == reference_cost(bids, scn)
+
+
+def test_edgeless_markets_clear_in_one_round():
+    # No edge, so every round's bid vector is empty: each node generates
+    # its own demand and the market clears in its first round.
+    lone = scenario("full", [5.0])
+    islands = Scenario(topology=topology.from_adjacency([[0] * 3] * 3),
+                       demands=(2.0, 5.0, 9.0), gen_costs=(GEN,) * 3,
+                       transfer_cost=TR)
+    for scn in (lone, islands):
+        m = scn.topology.m
+        trace = run(scn)
+        assert trace.converged and trace.rounds() == 1
+        islanded = 0.0
+        for d in scn.demands:
+            islanded += GEN.value(d)
+        assert trace.primals[-1] == islanded
+        assert trace.final_bids == ((0.0,) * m,) * m
+        assert trace.trades_csv().splitlines() == [",".join(["0.0"] * m)] * m
+    assert run(lone).primals[-1] == 377.4152000149002
 
 
 def test_final_bids_are_nested_tuples_of_floats():
@@ -284,23 +313,24 @@ def test_final_bids_are_nested_tuples_of_floats():
     assert all(type(row) is tuple and len(row) == 4 for row in bids)
     assert all(type(x) is float for row in bids for x in row)
     assert any(x > 0.0 for row in bids for x in row)
-    assert market.IterationTrace(4).final_bids == ()
+    assert market.IterationTrace(scn.topology).final_bids == ()
 
 
 def test_trace_keeps_its_own_bids_and_compares_them():
     def record(bids):
-        trace = market.IterationTrace(2)
+        trace = market.IterationTrace(topology.build("line", 2))
         trace.append([1.0, 2.0], bids, [0.0, 0.0], 3.0, 4.0, (1, 1))
         return trace
 
-    bids = np.array([[0.0, 0.5], [0.25, 0.0]])
+    bids = np.array([0.5, 0.25])    # edges [0][1], [1][0]
     trace = record(bids)
-    bids[0, 1] = 9.0                # the caller reuses its buffer
+    bids[0] = 9.0                   # the caller reuses its buffer
     assert trace.final_bids == ((0.0, 0.5), (0.25, 0.0))
+    assert trace.m == 2
     # traces compare by identity: one that differs only in its bids is
     # never equal to another
     assert trace == trace
-    assert trace != record([[0.0, 0.5], [0.125, 0.0]])
+    assert trace != record([0.5, 0.125])
 
 
 def test_large_sparse_market_rows_match_whole_market_views():
@@ -324,7 +354,8 @@ def test_large_sparse_market_rows_match_whole_market_views():
             for j, (_, sol) in enumerate(solve_all(lam, scn)):
                 for i, amount in sol.e_buy.items():
                     bids[i, j] = amount
-            assert trace.primals[k] == feasibilize_and_cost(bids, scn), (m, k)
+            assert trace.primals[k] == feasibilize_and_cost(
+                edge_bids(bids, scn), scn), (m, k)
 
 
 def test_dual_never_exceeds_optimal_cost():
