@@ -130,6 +130,7 @@ def solve_local(p: LocalProblem) -> LocalSolution:
     """The unique minimizer of the node's subproblem at the given prices."""
     gen, lam, demand = p.gen_cost, p.own_price, p.demand
     inverse = p.transfer_cost.inverse_marginal
+    g0 = p.transfer_cost.marginal(0.0)
     sellers = sorted(p.seller_prices.items())
 
     def buys_at(q):
@@ -139,7 +140,9 @@ def solve_local(p: LocalProblem) -> LocalSolution:
         return {j: inverse(q - lam_j) for j, lam_j in sellers}
 
     def bought_at(q):
-        return sum(inverse(q - lam_j) for _, lam_j in sellers)
+        # A seller whose first MWh delivers at q or above supplies nothing.
+        return sum((inverse(q - lam_j) for _, lam_j in sellers if q - lam_j > g0),
+                   0.0)
 
     own_gen = gen.inverse_marginal(lam)
     buys = buys_at(lam)

@@ -5,7 +5,8 @@ Two deliberately different algorithm families:
   - solve_global_numeric: projected gradient with Barzilai-Borwein steps
     on all inter-node trades (the coupled cost-minimization over the grid).
   - solve_local_numeric: coarse grid scan plus descent over single and
-    paired coordinate directions for one node's subproblem.
+    paired coordinate directions for one node's subproblem, each line
+    minimized by Illinois steps on the sign of its directional derivative.
 
 Neither touches the closed-form solver or the inverse-marginal closed
 forms, so agreement with the closed-form solver is evidence rather than
@@ -189,8 +190,13 @@ def solve_local_numeric(p: LocalProblem) -> LocalNumericResult:
     blocked. Together with the singles these positively span the tangent
     cone of the feasible set at any point, so the descent cannot stall
     away from the optimum. The first sweep scans a coarse grid along each
-    direction; all line minimizations finish by bisecting the directional
-    derivative (the objective is convex along any line).
+    direction; all line minimizations finish with Illinois steps (modified
+    regula falsi, Dowell & Jarratt 1971) on the directional derivative,
+    bisecting when a step leaves the bracket (the objective is convex along
+    any line).
+
+    The search runs inside the box SELL_BOX x BUY_BOX^n; ValueError is
+    raised when it ends on the box, naming the coordinate.
     """
     sellers = sorted(p.seller_prices)
     n = len(sellers)
@@ -253,19 +259,37 @@ def solve_local_numeric(p: LocalProblem) -> LocalNumericResult:
             k = int(np.argmin(values_on_grid(x, d, ts)))
             t_lo = float(ts[max(0, k - 1)])
             t_hi = float(ts[min(len(ts) - 1, k + 1)])
-        # convex along the line: bisect the directional derivative
-        if dirderiv(x, d, t_lo) >= 0.0:
+        # convex along the line: the directional derivative rises through
+        # zero on [t_lo, t_hi]; Illinois steps (regula falsi that halves the
+        # kept end's derivative when the same end moves twice) close in on it
+        f_lo = dirderiv(x, d, t_lo)
+        if f_lo >= 0.0:
             return t_lo
-        if dirderiv(x, d, t_hi) <= 0.0:
+        f_hi = dirderiv(x, d, t_hi)
+        if f_hi <= 0.0:
             return t_hi
+        moved = 0   # -1 when t_lo moved last, +1 when t_hi did
         for _ in range(200):
             mid = 0.5 * (t_lo + t_hi)
             if mid <= t_lo or mid >= t_hi:
                 break
-            if dirderiv(x, d, mid) < 0.0:
-                t_lo = mid
+            spread = f_hi - f_lo
+            t = t_hi - f_hi * (t_hi - t_lo) / spread
+            if not (math.isfinite(spread) and t_lo < t < t_hi):
+                t = mid
+            f = dirderiv(x, d, t)
+            if f == 0.0:
+                return t
+            if f < 0.0:
+                t_lo, f_lo = t, f
+                if moved == -1:
+                    f_hi *= 0.5
+                moved = -1
             else:
-                t_hi = mid
+                t_hi, f_hi = t, f
+                if moved == 1:
+                    f_lo *= 0.5
+                moved = 1
         return 0.5 * (t_lo + t_hi)
 
     for sweep in range(MAX_SWEEPS):
@@ -277,6 +301,16 @@ def solve_local_numeric(p: LocalProblem) -> LocalNumericResult:
                 largest = max(largest, abs(t))
         if sweep > 0 and largest < 1e-10:
             break
+
+    # The box bounds the search, not the problem: a point on it (to the
+    # rounding of a segment end) is the best inside the box, and the true
+    # optimum may lie beyond.
+    on_box = np.flatnonzero(x >= hi - 1e-9)
+    if on_box.size:
+        i = int(on_box[0])
+        what = (f"sale at SELL_BOX = {SELL_BOX}" if i == 0 else
+                f"purchase from seller {sellers[i - 1]} at BUY_BOX = {BUY_BOX}")
+        raise ValueError(f"local oracle search stopped on its box: {what} MWh")
 
     obj = local_objective(p, x[0], x[1:])
     return LocalNumericResult(obj, float(x[0]), {

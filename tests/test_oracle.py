@@ -1,9 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridclear import topology
+from gridclear import oracle, topology
 from gridclear.cost_models import (DEFAULT_GENERATION_COST,
                                    DEFAULT_TRANSFER_COST, SoftCappedQuadratic)
 from gridclear.local_solver import LocalProblem, net_expenditure, solve_local
@@ -159,3 +161,45 @@ def test_local_numeric_prefers_cheap_seller():
     closed = net_expenditure(p, solve_local(p))
     numeric = solve_local_numeric(p)
     assert numeric.objective == pytest.approx(closed, rel=1e-9, abs=1e-9)
+
+
+def test_local_numeric_past_the_soft_cap():
+    # demands past e_max, where the cap makes the derivative along a line
+    # steepest and the line search has the most to do
+    rng = np.random.default_rng(27)
+    worst = 0.0
+    for k in range(300):
+        sellers = {j + 1: float(rng.uniform(40.0, 80.0)) for j in range(k % 4)}
+        p = local(float(rng.uniform(10.5, 13.0)),
+                  float(rng.uniform(40.0, 80.0)), sellers)
+        closed = net_expenditure(p, solve_local(p))
+        numeric = solve_local_numeric(p).objective
+        worst = max(worst, abs(closed - numeric) / max(1.0, abs(numeric)))
+    assert worst <= 1e-6, f"worst objective disagreement {worst:.3e}"
+
+
+def test_local_numeric_refuses_a_box_limited_optimum():
+    # at own price 900 the node buys 16.92 MWh and sells 21.70 (objective
+    # -12961.757679990324); the search box stops the purchase at 15
+    p = local(6.0, 900.0, {1: 40.0})
+    assert net_expenditure(p, solve_local(p)) == pytest.approx(
+        -12961.757679990324, rel=1e-12)
+    with pytest.raises(ValueError, match="seller 1 at BUY_BOX"):
+        solve_local_numeric(p)
+
+
+def test_oracle_shares_no_code_with_the_closed_form():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 node.module.startswith("gridclear")):
+            module = (node.module or "").removeprefix("gridclear.")
+            imported |= {(module, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(a.name, None) for a in node.names
+                         if a.name.startswith("gridclear")}
+    assert imported == {("local_solver", "LocalProblem")}
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not names & {"bracketed_root", "solve_local", "inverse_marginal"}
